@@ -22,8 +22,8 @@ fn bench_parallel_sampling(c: &mut Criterion) {
     let mut group = c.benchmark_group("sampling_parallel_la_liga");
     group.sample_size(10);
 
-    // Walk estimation of all 35 players under masked semantics, split
-    // across workers. The game (and so the oracle cache) is rebuilt every
+    // Walk estimation of all 35 players under masked semantics, its walks
+    // evaluated on the workers (output identical at every count). The game (and so the oracle cache) is rebuilt every
     // iteration: a shared warm cache would turn every query into a hit and
     // the bench would measure mutex overhead instead of repair-evaluation
     // scaling (exp_convergence::timed_walk makes the same choice).

@@ -1,9 +1,10 @@
 //! Experiment E6: wall-clock scaling of the two solvers — exact Shapley is
 //! exponential in the player count (fine for constraint sets, "usually
 //! small"), sampling is linear in m·players (the only option for cells) —
-//! plus the thread-scaling of the parallel walk estimator (both work
-//! schedules side by side) and of constraint violation detection (the
-//! row-pair scan behind `trex violations` / `trex repair`).
+//! plus the thread-scaling of the parallel walk and adaptive estimators
+//! (whose output is asserted equal to the serial estimators at every
+//! thread count) and of constraint violation detection (the row-pair scan
+//! behind `trex violations` / `trex repair`).
 //!
 //! Run: `cargo run --release -p trex-bench --bin exp_scaling`
 //!
@@ -22,8 +23,8 @@ use trex_constraints::{
 use trex_datagen::laliga;
 use trex_repair::MockRemoteRepair;
 use trex_shapley::{
-    estimate_player, estimate_player_adaptive_rounds, parallel, player_seed, shapley_exact,
-    Estimate, ParallelConfig, SamplingConfig, Schedule, StochasticGame,
+    estimate_player, estimate_player_adaptive, parallel, player_seed, sampling, shapley_exact,
+    Estimate, ParallelConfig, SamplingConfig, StochasticGame,
 };
 use trex_table::{Table, TableBuilder};
 
@@ -52,9 +53,8 @@ fn violation_dcs(table: &Table) -> Vec<DenialConstraint> {
     .collect()
 }
 
-/// FNV-1a over the exact bits of an adaptive result set: the output
-/// fingerprint CI compares between the stealing schedule and its serial
-/// reference.
+/// FNV-1a over the exact bits of a result set: the output fingerprint CI
+/// compares between the parallel drivers and their serial references.
 fn estimates_hash(results: &[(Estimate, bool)]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mix = |h: &mut u64, v: u64| {
@@ -68,6 +68,12 @@ fn estimates_hash(results: &[(Estimate, bool)]) -> u64 {
         mix(&mut h, u64::from(*converged));
     }
     h
+}
+
+/// [`estimates_hash`] of a fixed-budget result set.
+fn walk_hash_of(estimates: &[Estimate]) -> u64 {
+    let results: Vec<(Estimate, bool)> = estimates.iter().map(|e| (*e, true)).collect();
+    estimates_hash(&results)
 }
 
 /// Minimal `--json PATH` reader (the experiment binaries stay
@@ -117,143 +123,90 @@ fn main() {
         let _ = est;
     }
 
+    println!("\n== parallel walk estimation: time vs threads (n = 40, m = 2000) ==");
     println!(
-        "\n== parallel walk estimation: time vs threads, both schedules (n = 40, m = 2000) =="
-    );
-    println!(
-        "({} hardware thread(s) available; past that, extra workers only re-chunk)",
+        "({} hardware thread(s) available; past that, extra workers only queue)",
         parallel::available_threads()
     );
-    println!("(budget-split: deterministic per (seed, threads); player-sharded:");
-    println!(" identical to the serial estimator at every thread count. The sharded");
-    println!(" walk replays ~2n evaluations per walk vs the serial n+1, so on a");
-    println!(" cheap uncached game like this one budget-split wins on raw time;");
-    println!(" player-sharding pays off when evaluations are repair-oracle calls)");
-    println!(
-        "{:>8} {:>14} {:>10} {:>14} {:>10}",
-        "threads", "budget", "speedup", "player", "speedup"
-    );
+    println!("(one permutation stream drawn serially, walks evaluated in parallel and");
+    println!(" folded in walk order: the output is asserted equal to the serial");
+    println!(" estimator at every thread count while we measure. This game's");
+    println!(" coalition values are nearly free, so the serial draw and the fold");
+    println!(" bound the speed-up; repair-oracle games spend their time in the walks)");
+    println!("{:>8} {:>14} {:>10}", "threads", "walk", "speedup");
     let game = RandomBinaryGame::new(40, 5, 11);
-    let mut budget_base = None;
-    let mut player_base = None;
-    let mut sharded_reference: Option<Vec<trex_shapley::Estimate>> = None;
-    let mut walk_rows: Vec<(usize, f64, f64)> = Vec::new();
+    let walk_cfg = SamplingConfig {
+        samples: 2000,
+        seed: 3,
+    };
+    let start = Instant::now();
+    let walk_serial = sampling::estimate_all_walk(&game, walk_cfg);
+    let walk_serial_ms = start.elapsed().as_secs_f64() * 1e3;
+    let walk_hash = walk_hash_of(&walk_serial);
+    let mut walk_base = None;
+    let mut walk_rows: Vec<(usize, f64, u64)> = Vec::new();
     for threads in [1usize, 2, 4, 8] {
         let start = Instant::now();
-        let ests = parallel::estimate_all_walk(&game, ParallelConfig::new(2000, 3, threads));
-        let budget_dt = start.elapsed();
-        assert_eq!(ests.len(), 40);
-        let start = Instant::now();
-        let sharded = parallel::estimate_all_walk(
-            &game,
-            ParallelConfig::new(2000, 3, threads).with_schedule(Schedule::PlayerSharded),
-        );
-        let player_dt = start.elapsed();
-        // The player-sharded contract, asserted while we measure: every
-        // thread count reproduces the same (serial) estimates.
-        let reference = sharded_reference.get_or_insert_with(|| sharded.clone());
+        let ests =
+            parallel::estimate_all_walk(&game, ParallelConfig::from_sampling(walk_cfg, threads));
+        let dt = start.elapsed();
+        // The determinism contract, asserted while we measure.
         assert_eq!(
-            *reference, sharded,
-            "player-sharded output changed at {threads} threads"
+            ests, walk_serial,
+            "parallel walk output diverged from serial at {threads} threads"
         );
-        let b_base = *budget_base.get_or_insert(budget_dt);
-        let p_base = *player_base.get_or_insert(player_dt);
+        let base = *walk_base.get_or_insert(dt);
         println!(
-            "{threads:>8} {budget_dt:>14.3?} {:>9.2}x {player_dt:>14.3?} {:>9.2}x",
-            b_base.as_secs_f64() / budget_dt.as_secs_f64().max(1e-12),
-            p_base.as_secs_f64() / player_dt.as_secs_f64().max(1e-12)
+            "{threads:>8} {dt:>14.3?} {:>9.2}x",
+            base.as_secs_f64() / dt.as_secs_f64().max(1e-12)
         );
-        walk_rows.push((
-            threads,
-            budget_dt.as_secs_f64() * 1e3,
-            player_dt.as_secs_f64() * 1e3,
-        ));
+        walk_rows.push((threads, dt.as_secs_f64() * 1e3, walk_hash_of(&ests)));
     }
 
-    println!("\n== adaptive budgets, one hot player: steal vs player schedule ==");
+    println!("\n== adaptive budgets, one hot player: time vs threads ==");
     println!("(16 players; player 0 is a ±1 coin flip that runs to the 6000-sample");
     println!(" cap, the rest are dummies that stop at two batches — so one player");
-    println!(" owns ~80% of the budget. player-sharding pins that budget to one");
-    println!(" worker; stealing spreads its rounds across every idle worker. The");
-    println!(" steal output is asserted bit-identical to its serial round-laddered");
-    println!(" reference at every thread count while we measure.)");
-    println!(
-        "{:>8} {:>14} {:>10} {:>14} {:>10}",
-        "threads", "player", "speedup", "steal", "speedup"
-    );
+    println!(" owns ~80% of the budget, and that budget runs on one worker. The");
+    println!(" output is asserted equal to the serial per-player loop at every");
+    println!(" thread count while we measure.)");
+    println!("{:>8} {:>14} {:>10}", "threads", "adaptive", "speedup");
     let hot_game = trex_shapley::game::fixtures::one_hot(16, 20_000);
     let hot_players = StochasticGame::num_players(&hot_game);
     let (tol, z, batch, cap, hot_seed) = (0.02f64, 1.96f64, 50usize, 6000usize, 17u64);
-    let steal_serial: Vec<(Estimate, bool)> = (0..hot_players)
+    let adaptive_serial: Vec<(Estimate, bool)> = (0..hot_players)
         .map(|p| {
-            estimate_player_adaptive_rounds(
-                &hot_game,
-                p,
-                tol,
-                z,
-                batch,
-                cap,
-                player_seed(hot_seed, p),
-            )
+            estimate_player_adaptive(&hot_game, p, tol, z, batch, cap, player_seed(hot_seed, p))
         })
         .collect();
-    assert!(!steal_serial[0].1, "the hot player must run to the cap");
-    assert!(steal_serial[1].1, "dummies must converge early");
-    let steal_hash = estimates_hash(&steal_serial);
-    // Best of 3 runs per measurement: the steal-beats-player assertion
-    // below gates CI, so one preempted run on a shared runner must not be
-    // able to flip a timing comparison with a ~3× expected margin.
-    let best_of = |schedule: Schedule, threads: usize| {
-        let mut best: Option<(std::time::Duration, Vec<(Estimate, bool)>)> = None;
+    assert!(!adaptive_serial[0].1, "the hot player must run to the cap");
+    assert!(adaptive_serial[1].1, "dummies must converge early");
+    let adaptive_hash = estimates_hash(&adaptive_serial);
+    let mut adaptive_base = None;
+    let mut adaptive_rows: Vec<(usize, f64, u64)> = Vec::new();
+    for threads in [1usize, 2, 4, 8] {
+        // Best of 3: one preempted run on a shared runner must not skew
+        // the curve.
+        let mut best: Option<(Duration, Vec<(Estimate, bool)>)> = None;
         for _ in 0..3 {
             let start = Instant::now();
-            let out = parallel::estimate_all_adaptive(
-                &hot_game, tol, z, batch, cap, hot_seed, threads, schedule,
-            );
+            let out =
+                parallel::estimate_all_adaptive(&hot_game, tol, z, batch, cap, hot_seed, threads);
             let dt = start.elapsed();
             if best.as_ref().is_none_or(|(b, _)| dt < *b) {
                 best = Some((dt, out));
             }
         }
-        best.expect("three runs produce a best")
-    };
-    let mut player_base = None;
-    let mut steal_base = None;
-    let mut steal_rows: Vec<(usize, f64, f64, u64)> = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
-        let (player_dt, sharded) = best_of(Schedule::PlayerSharded, threads);
-        assert_eq!(sharded.len(), hot_players);
-        let (steal_dt, stolen) = best_of(Schedule::WorkStealing, threads);
-        // The stealing determinism contract, asserted while we measure:
-        // every thread count reproduces the serial round ladder exactly.
+        let (dt, out) = best.expect("three runs produce a best");
         assert_eq!(
-            stolen, steal_serial,
-            "work-stealing output diverged from serial at {threads} threads"
+            out, adaptive_serial,
+            "adaptive output diverged from serial at {threads} threads"
         );
-        // The headline claim: with real cores, stealing beats player-
-        // sharding on this workload (the hot player's rounds spread out
-        // instead of pinning one worker). Only asserted where the hardware
-        // can show it — a single-core box serializes both schedules.
-        if parallel::available_threads() >= 4 && threads >= 4 {
-            assert!(
-                steal_dt < player_dt,
-                "stealing must beat player-sharding on the one-hot-player \
-                 workload at {threads} threads ({steal_dt:?} vs {player_dt:?})"
-            );
-        }
-        let p_base = *player_base.get_or_insert(player_dt);
-        let s_base = *steal_base.get_or_insert(steal_dt);
+        let base = *adaptive_base.get_or_insert(dt);
         println!(
-            "{threads:>8} {player_dt:>14.3?} {:>9.2}x {steal_dt:>14.3?} {:>9.2}x",
-            p_base.as_secs_f64() / player_dt.as_secs_f64().max(1e-12),
-            s_base.as_secs_f64() / steal_dt.as_secs_f64().max(1e-12)
+            "{threads:>8} {dt:>14.3?} {:>9.2}x",
+            base.as_secs_f64() / dt.as_secs_f64().max(1e-12)
         );
-        steal_rows.push((
-            threads,
-            player_dt.as_secs_f64() * 1e3,
-            steal_dt.as_secs_f64() * 1e3,
-            estimates_hash(&stolen),
-        ));
+        adaptive_rows.push((threads, dt.as_secs_f64() * 1e3, estimates_hash(&out)));
     }
 
     println!("\n== violation detection: time vs threads (2000 rows, 2 DCs) ==");
@@ -318,7 +271,7 @@ fn main() {
         "{:>8} {:>14} {:>14} {:>10} {:>12}",
         "threads", "full", "pruned", "saved", "violations"
     );
-    // Best of 3 per measurement, same rationale as the steal curve: the
+    // Best of 3 per measurement, same rationale as the adaptive curve: the
     // pruned-beats-full assertion gates CI, so a single preempted run must
     // not flip the comparison.
     let scan_best_of = |threads: usize, pruned: bool| {
@@ -394,7 +347,7 @@ fn main() {
         let explainer = Explainer::new(&alg)
             .with_config(ExecConfig::new().with_oracle_batch(batch))
             .with_oracle_backend(&remote);
-        // Best of 3, same rationale as the steal curve: the ≥2× assertion
+        // Best of 3, same rationale as the adaptive curve: the ≥2× assertion
         // below gates CI. Each explanation rebuilds its oracle, so every
         // run pays the full cold-cache dispatch schedule.
         let mut best: Option<(Duration, trex_repair::BatchStats)> = None;
@@ -450,29 +403,22 @@ fn main() {
     println!("repair loops (detect → fix → re-detect) take --threads too. This is the");
     println!("asymmetry behind the paper's two-solver design (§2.3).");
 
-    // Machine-readable record for the CI artifact: the per-schedule walk
-    // curve, the skewed-budget steal curve (with the output fingerprint CI
+    // Machine-readable record for the CI artifact: the walk and the
+    // skewed-budget adaptive curves (each with the output fingerprint CI
     // re-checks against the serial hash), and the violation-detection
     // curve, per thread count.
     if let Some(path) = json_path {
-        let walk_json: Vec<String> = walk_rows
-            .iter()
-            .map(|(threads, budget_ms, player_ms)| {
-                format!(
-                    "    {{ \"threads\": {threads}, \"budget_ms\": {budget_ms:.3}, \
-                     \"player_ms\": {player_ms:.3} }}"
-                )
-            })
-            .collect();
-        let steal_json: Vec<String> = steal_rows
-            .iter()
-            .map(|(threads, player_ms, steal_ms, hash)| {
-                format!(
-                    "    {{ \"threads\": {threads}, \"player_ms\": {player_ms:.3}, \
-                     \"steal_ms\": {steal_ms:.3}, \"hash\": \"{hash:016x}\" }}"
-                )
-            })
-            .collect();
+        let curve_json = |rows: &[(usize, f64, u64)], field: &str| -> String {
+            rows.iter()
+                .map(|(threads, ms, hash)| {
+                    format!(
+                        "    {{ \"threads\": {threads}, \"{field}\": {ms:.3}, \
+                         \"hash\": \"{hash:016x}\" }}"
+                    )
+                })
+                .collect::<Vec<_>>()
+                .join(",\n")
+        };
         let violation_json: Vec<String> = violation_rows
             .iter()
             .map(|(threads, ms, count)| {
@@ -510,14 +456,16 @@ fn main() {
                 "  \"walk\": {{\n",
                 "    \"players\": 40,\n",
                 "    \"samples\": 2000,\n",
+                "    \"serial_ms\": {walk_serial_ms:.3},\n",
+                "    \"serial_hash\": \"{walk_hash:016x}\",\n",
                 "    \"per_thread\": [\n{walk}\n    ]\n",
                 "  }},\n",
-                "  \"steal\": {{\n",
+                "  \"adaptive\": {{\n",
                 "    \"players\": 16,\n",
                 "    \"batch\": 50,\n",
                 "    \"max_samples\": 6000,\n",
-                "    \"serial_hash\": \"{steal_hash:016x}\",\n",
-                "    \"per_thread\": [\n{steal}\n    ]\n",
+                "    \"serial_hash\": \"{adaptive_hash:016x}\",\n",
+                "    \"per_thread\": [\n{adaptive}\n    ]\n",
                 "  }},\n",
                 "  \"violations\": {{\n",
                 "    \"rows\": 2000,\n",
@@ -539,9 +487,11 @@ fn main() {
                 "}}\n",
             ),
             hw = parallel::available_threads(),
-            walk = walk_json.join(",\n"),
-            steal_hash = steal_hash,
-            steal = steal_json.join(",\n"),
+            walk_serial_ms = walk_serial_ms,
+            walk_hash = walk_hash,
+            walk = curve_json(&walk_rows, "walk_ms"),
+            adaptive_hash = adaptive_hash,
+            adaptive = curve_json(&adaptive_rows, "adaptive_ms"),
             violations = violation_json.join(",\n"),
             dcs_total = noisy_dcs.len(),
             dcs_pruned = pruned_away,

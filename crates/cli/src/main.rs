@@ -53,24 +53,15 @@ ENGINE FLAGS:
   --engine holistic    conflict-hypergraph baseline
 
 EXEC FLAGS:
-  --threads N, --schedule POLICY, --oracle-cap N, --oracle-batch N, and
-  --seed N form one execution-configuration surface, parsed identically by
-  violations, repair, and explain (each command consumes the knobs that
-  apply to it).
+  --threads N, --oracle-cap N, --oracle-batch N, and --seed N form one
+  execution-configuration surface, parsed identically by violations,
+  repair, and explain (each command consumes the knobs that apply to it).
   --threads N (default: all hardware threads; 0 also means that) runs
   explain's cell sampling on N workers; for violations and repair it
-  splits the row-pair violation scan, whose output is identical at any
-  thread count (a wall-time knob only). --seed N (default 0) seeds
-  explain's sampling. --schedule picks how explain's sampling distributes
-  work:
-  player (workers claim whole cells; output identical to the serial
-  estimator at ANY thread count), steal (player-sharding plus round
-  stealing on --adaptive runs: idle workers take over rounds of a hot
-  cell's budget; output identical at ANY thread count to the round-
-  laddered serial estimator — a different, equally valid stream than
-  player's), budget (every cell's sample budget is split across workers;
-  deterministic per (--seed, --threads) pair), or auto (default: player
-  when the table has at least 4 cells per worker).
+  splits the row-pair violation scan. Output is identical at any thread
+  count, so this is a wall-time knob only. --seed N (default 0) seeds
+  explain's sampling. --schedule POLICY is still accepted (auto | player |
+  budget | steal) but ignored, with a warning; it will be removed.
   --prune-redundant skips the violation scans of constraints the static
   analyzer proves can never be violated (run trex lint to see which);
   witness output is identical with or without it — only wasted work is
@@ -220,6 +211,20 @@ fn warn_unbatchable(cfg: &ExecConfig) {
     }
 }
 
+/// The shared exec flags ([`Args::exec_config`]), warning once on stderr
+/// when the retired `--schedule` flag is given: it is still parsed, so
+/// existing command lines keep working, but nothing reads it.
+fn exec_config(args: &Args) -> Result<ExecConfig, ArgError> {
+    let cfg = args.exec_config()?;
+    if args.has("schedule") {
+        eprintln!(
+            "warning: --schedule is ignored: sampling output is the same at every \
+             thread count, so there is no schedule to pick"
+        );
+    }
+    Ok(cfg)
+}
+
 /// Parse a cell reference like `t5.Country` or `5.Country` (1-based row).
 fn parse_cell(table: &Table, spec: &str) -> Result<CellRef, ArgError> {
     let (row_part, attr_part) = spec
@@ -244,7 +249,7 @@ fn parse_cell(table: &Table, spec: &str) -> Result<CellRef, ArgError> {
 
 fn cmd_violations(args: &Args) -> Result<(), ArgError> {
     let (table, dcs) = load_inputs(args)?;
-    let cfg = args.exec_config()?;
+    let cfg = exec_config(args)?;
     args.reject_unknown()?;
     let resolved: Result<Vec<_>, _> = dcs.iter().map(|d| d.resolved(table.schema())).collect();
     let resolved = resolved.map_err(|e| ArgError(e.to_string()))?;
@@ -267,7 +272,7 @@ fn cmd_violations(args: &Args) -> Result<(), ArgError> {
 
 fn cmd_repair(args: &Args) -> Result<(), ArgError> {
     let (table, dcs) = load_inputs(args)?;
-    let cfg = args.exec_config()?;
+    let cfg = exec_config(args)?;
     let engine = load_engine(args, &cfg)?;
     args.reject_unknown()?;
     let result = engine.repair(&dcs, &table);
@@ -278,7 +283,7 @@ fn cmd_repair(args: &Args) -> Result<(), ArgError> {
 
 fn cmd_explain(args: &Args) -> Result<(), ArgError> {
     let (table, dcs) = load_inputs(args)?;
-    let cfg = args.exec_config()?;
+    let cfg = exec_config(args)?;
     warn_unbatchable(&cfg);
     let engine = load_engine(args, &cfg)?;
     let cell_spec = args.require("cell")?.to_string();
@@ -379,7 +384,7 @@ fn cmd_explain(args: &Args) -> Result<(), ArgError> {
 /// HTTP/JSON requests over a shared long-lived session until interrupted.
 fn cmd_serve(args: &Args) -> Result<(), ArgError> {
     let (table, dcs) = load_inputs(args)?;
-    let cfg = args.exec_config()?;
+    let cfg = exec_config(args)?;
     warn_unbatchable(&cfg);
     let engine = load_engine(args, &cfg)?;
     let addr = args.get("addr").unwrap_or("127.0.0.1:7878").to_string();
@@ -410,7 +415,7 @@ fn cmd_lint(args: &Args) -> Result<ExitCode, ArgError> {
     // Lint shares the exec-flag group with the scan commands so pipelines
     // can pass one flag set everywhere; only --prune-redundant affects its
     // report (the plan marks what a pruned scan would skip).
-    let _cfg = args.exec_config()?;
+    let _cfg = exec_config(args)?;
     let json = args.has("json");
     args.reject_unknown()?;
     let analysis = trex_constraints::analyze_with_table(&dcs, &table);

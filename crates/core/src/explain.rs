@@ -16,7 +16,7 @@ use trex_repair::{
 };
 use trex_shapley::{
     parallel, shapley_exact, shapley_exact_rational, AnytimeCheckpoint, AnytimeControl, ExecConfig,
-    Game, ParallelConfig, Rational, SamplingConfig, Schedule, StochasticGame,
+    Game, ParallelConfig, Rational, SamplingConfig, StochasticGame,
 };
 use trex_table::{CellRef, Table, Value};
 
@@ -85,14 +85,11 @@ pub struct AdaptiveConfig {
     pub tolerance: f64,
     /// Confidence multiplier (`1.96` ≈ 95%).
     pub z: f64,
-    /// Samples per adaptive round, between convergence checks. Under
-    /// `Schedule::PlayerSharded` (the auto default once the table has ≥ 4
-    /// cells per worker) each cell runs the serial loop, so a round is
-    /// exactly `batch` samples; under `Schedule::BudgetSplit` every worker
-    /// contributes `batch` samples per round, so a round is
-    /// `threads × batch` and convergence is checked that much less often.
+    /// Samples per adaptive round, between convergence checks. Each cell
+    /// runs the serial loop on one worker, so a round is exactly `batch`
+    /// samples at any thread count.
     pub batch: usize,
-    /// Per-cell cap on total samples across all workers.
+    /// Per-cell cap on total samples.
     pub max_samples: usize,
     /// Base RNG seed (laddered per player exactly like fixed-budget
     /// sampling).
@@ -130,16 +127,10 @@ pub struct CellExplanation {
 /// through repeated repair queries, per the paper's design.
 ///
 /// Cell explanations run on the parallel sampling engine
-/// (`trex_shapley::parallel`). The default is one worker, which reproduces
-/// the historical serial estimates bit for bit; [`Explainer::with_config`]
-/// with [`ExecConfig::with_threads`] opts into multi-core sampling. The
-/// work [`Schedule`] defaults to [`Schedule::auto`] over the cell count —
-/// player-sharded (serial-identical output at any thread count) when the
-/// table has plenty of cells per worker, budget-split (deterministic per
-/// `(seed, threads)` pair) otherwise; [`ExecConfig::with_schedule`] pins
-/// one explicitly ([`Schedule::WorkStealing`] additionally steals adaptive
-/// rounds between workers, see the schedule docs for its determinism
-/// contract).
+/// (`trex_shapley::parallel`). The default is one worker;
+/// [`Explainer::with_config`] with [`ExecConfig::with_threads`] opts into
+/// multi-core sampling. Every thread count returns the serial estimates bit
+/// for bit, so the thread count only sets wall time.
 ///
 /// The memoizing repair oracle behind the coalition games grows with the
 /// number of distinct coalition tables visited;
@@ -162,8 +153,8 @@ pub struct Explainer<'a> {
 }
 
 impl<'a> Explainer<'a> {
-    /// Wrap a repair algorithm (single sampling worker, auto schedule,
-    /// default oracle capacity, local oracle dispatch).
+    /// Wrap a repair algorithm (single sampling worker, default oracle
+    /// capacity, local oracle dispatch).
     pub fn new(alg: &'a dyn RepairAlgorithm) -> Self {
         Explainer {
             alg,
@@ -209,8 +200,8 @@ impl<'a> Explainer<'a> {
         self.cache.as_ref()
     }
 
-    /// Apply an execution configuration wholesale: thread count, schedule,
-    /// and oracle capacity in one value shared with `Session` and the
+    /// Apply an execution configuration wholesale: thread count, oracle
+    /// capacity, and batch bound in one value shared with `Session` and the
     /// repair engines. The config's `seed`, if set, is not consumed here —
     /// sampling methods take their seed from the explicit
     /// [`SamplingConfig`] argument.
@@ -224,41 +215,9 @@ impl<'a> Explainer<'a> {
         self.cfg
     }
 
-    /// Use `threads` sampling workers for cell explanations (must be ≥ 1;
-    /// resolve user input with `trex_shapley::resolve_threads` first).
-    #[deprecated(note = "build an ExecConfig and pass it to with_config")]
-    pub fn with_threads(self, threads: usize) -> Self {
-        let cfg = self.cfg.with_threads(threads);
-        self.with_config(cfg)
-    }
-
-    /// Pin the all-player sampling schedule instead of letting
-    /// [`Schedule::auto`] choose from the cell count.
-    #[deprecated(note = "build an ExecConfig and pass it to with_config")]
-    pub fn with_schedule(self, schedule: Schedule) -> Self {
-        let cfg = self.cfg.with_schedule(schedule);
-        self.with_config(cfg)
-    }
-
     /// The configured sampling worker count.
     pub fn threads(&self) -> usize {
         self.cfg.threads()
-    }
-
-    /// The pinned schedule, if any (`None` = auto by cell count).
-    pub fn schedule(&self) -> Option<Schedule> {
-        self.cfg.schedule()
-    }
-
-    /// Bound the repair-oracle memo cache to `capacity` entries
-    /// (second-chance eviction once full; `0` disables caching entirely).
-    /// Explanation results are unchanged at any capacity — a smaller cache
-    /// only recomputes more. The default is
-    /// `trex_repair::ShardedOracle::DEFAULT_CAPACITY`.
-    #[deprecated(note = "build an ExecConfig and pass it to with_config")]
-    pub fn with_oracle_capacity(self, capacity: usize) -> Self {
-        let cfg = self.cfg.with_oracle_cap(capacity);
-        self.with_config(cfg)
     }
 
     /// The pinned oracle capacity, if any (`None` = the oracle default).
@@ -275,11 +234,9 @@ impl<'a> Explainer<'a> {
         trex_constraints::analyze_with_table(dcs, table)
     }
 
-    /// The schedule an explanation over `players` cells will use.
-    fn schedule_for(&self, players: usize) -> Schedule {
-        self.cfg
-            .schedule()
-            .unwrap_or_else(|| Schedule::auto(players, self.threads()))
+    /// The parallel sampling configuration of a run with `config`.
+    fn parallel(&self, config: SamplingConfig) -> ParallelConfig {
+        ParallelConfig::from_sampling(config, self.threads())
     }
 
     /// Whether the batched-dispatch machinery is in play (a batch bound or
@@ -496,11 +453,7 @@ impl<'a> Explainer<'a> {
     ) -> Result<CellExplanation, ExplainError> {
         let target = self.repair_target(dcs, dirty, cell)?;
         let game = CellGameSampled::new(self.alg, dcs, dirty, cell, target.clone());
-        let schedule = self.schedule_for(StochasticGame::num_players(&game));
-        let estimates = parallel::estimate_all(
-            &game,
-            ParallelConfig::from_sampling(config, self.threads()).with_schedule(schedule),
-        );
+        let estimates = parallel::estimate_all(&game, self.parallel(config));
         let players = game.players().to_vec();
         let ranking = Ranking::with_errors(
             estimates
@@ -532,8 +485,8 @@ impl<'a> Explainer<'a> {
     ///
     /// Returns the explanation plus one flag per player cell: did that
     /// cell's estimate converge within budget? Deterministic per
-    /// `(config.seed, threads)` pair; per-player seeds are laddered exactly
-    /// like [`Explainer::explain_cells_sampled`]'s.
+    /// `config.seed` at any thread count; per-player seeds are laddered
+    /// exactly like [`Explainer::explain_cells_sampled`]'s.
     pub fn explain_cells_adaptive(
         &self,
         dcs: &[DenialConstraint],
@@ -544,7 +497,6 @@ impl<'a> Explainer<'a> {
         let target = self.repair_target(dcs, dirty, cell)?;
         let game = CellGameSampled::new(self.alg, dcs, dirty, cell, target.clone());
         let players = game.players().to_vec();
-        let schedule = self.schedule_for(players.len());
         let (estimates, converged): (Vec<_>, Vec<_>) = parallel::estimate_all_adaptive(
             &game,
             config.tolerance,
@@ -553,7 +505,6 @@ impl<'a> Explainer<'a> {
             config.max_samples,
             config.seed,
             self.threads(),
-            schedule,
         )
         .into_iter()
         .unzip();
@@ -595,11 +546,7 @@ impl<'a> Explainer<'a> {
     ) -> Result<CellExplanation, ExplainError> {
         let target = self.repair_target(dcs, dirty, cell)?;
         let game = self.masked_game(dcs, dirty, cell, target.clone(), mode);
-        let schedule = self.schedule_for(Game::num_players(&game));
-        let estimates = parallel::estimate_all_walk(
-            &game,
-            ParallelConfig::from_sampling(config, self.threads()).with_schedule(schedule),
-        );
+        let estimates = parallel::estimate_all_walk(&game, self.parallel(config));
         let players = game.players().to_vec();
         let ranking = Ranking::with_errors(
             estimates
@@ -624,9 +571,9 @@ impl<'a> Explainer<'a> {
     ///
     /// Determinism contract: a run that completes (`finished == true`)
     /// returns exactly what [`Explainer::explain_cells_masked`] returns for
-    /// the same `(seed, threads, schedule)` — checkpointing never perturbs
-    /// the sample stream. A stopped run returns the estimates accumulated
-    /// so far (at least one checkpoint's worth).
+    /// the same seed — checkpointing never perturbs the sample stream. A
+    /// stopped run returns the estimates of its last checkpoint, which
+    /// equal a completed run with that smaller budget.
     ///
     /// The checkpoint's `estimates` are in player order, index-aligned with
     /// the returned explanation's `players`.
@@ -643,10 +590,9 @@ impl<'a> Explainer<'a> {
     ) -> Result<(CellExplanation, bool), ExplainError> {
         let target = self.repair_target(dcs, dirty, cell)?;
         let game = self.masked_game(dcs, dirty, cell, target.clone(), mode);
-        let schedule = self.schedule_for(Game::num_players(&game));
         let (estimates, finished) = parallel::estimate_all_walk_anytime(
             &game,
-            ParallelConfig::from_sampling(config, self.threads()).with_schedule(schedule),
+            self.parallel(config),
             checkpoint_every,
             on_checkpoint,
         );
@@ -667,70 +613,6 @@ impl<'a> Explainer<'a> {
             },
             finished,
         ))
-    }
-
-    /// Two-phase cell explanation (extension): a cheap permutation-walk
-    /// *screening* pass over all cells, then a *refinement* pass that
-    /// re-estimates only the `k` screened leaders with `refine_samples`
-    /// per-player samples each. The interactive demo only ever shows the
-    /// top of the ranking, so spending the budget there cuts latency
-    /// without touching what the user sees.
-    ///
-    /// Refined entries replace their screened estimates; everything else
-    /// keeps the screening value.
-    #[allow(clippy::too_many_arguments)]
-    pub fn explain_cells_topk(
-        &self,
-        dcs: &[DenialConstraint],
-        dirty: &Table,
-        cell: CellRef,
-        mode: MaskMode,
-        k: usize,
-        screen: SamplingConfig,
-        refine_samples: usize,
-    ) -> Result<CellExplanation, ExplainError> {
-        let target = self.repair_target(dcs, dirty, cell)?;
-        let game = self.masked_game(dcs, dirty, cell, target.clone(), mode);
-        let players = game.players().to_vec();
-        let schedule = self.schedule_for(players.len());
-        let screened = parallel::estimate_all_walk(
-            &game,
-            ParallelConfig::from_sampling(screen, self.threads()).with_schedule(schedule),
-        );
-
-        // Leaders by screened value.
-        let mut order: Vec<usize> = (0..players.len()).collect();
-        order.sort_by(|a, b| screened[*b].value.total_cmp(&screened[*a].value));
-        let leaders: Vec<usize> = order.into_iter().take(k).collect();
-
-        let mut values: Vec<f64> = screened.iter().map(|e| e.value).collect();
-        let mut errors: Vec<f64> = screened.iter().map(|e| e.std_error()).collect();
-        for (slot, &p) in leaders.iter().enumerate() {
-            let refined = parallel::estimate_player(
-                &game,
-                p,
-                ParallelConfig::new(
-                    refine_samples,
-                    screen.seed.wrapping_add(1000 + slot as u64),
-                    self.threads(),
-                ),
-            );
-            values[p] = refined.value;
-            errors[p] = refined.std_error();
-        }
-        let ranking = Ranking::with_errors(
-            values
-                .iter()
-                .enumerate()
-                .map(|(i, v)| (Game::player_label(&game, i), *v, Some(errors[i])))
-                .collect(),
-        );
-        Ok(CellExplanation {
-            ranking,
-            values,
-            players,
-            target,
-        })
     }
 
     /// Exact cell explanation (subset enumeration) under masked semantics —
@@ -999,41 +881,6 @@ mod tests {
     }
 
     #[test]
-    fn topk_refinement_keeps_the_headline_and_tightens_errors() {
-        let dirty = laliga::dirty_table();
-        let dcs = laliga::constraints();
-        let alg = laliga::algorithm1();
-        let ex = Explainer::new(&alg);
-        let cell = laliga::cell_of_interest(&dirty);
-        let screen = SamplingConfig {
-            samples: 150,
-            seed: 9,
-        };
-        let cheap = ex
-            .explain_cells_masked(&dcs, &dirty, cell, MaskMode::Null, screen)
-            .unwrap();
-        let refined = ex
-            .explain_cells_topk(&dcs, &dirty, cell, MaskMode::Null, 3, screen, 1200)
-            .unwrap();
-        // The headline survives refinement.
-        assert_eq!(refined.ranking.top().unwrap().label, "t5[League]");
-        // The refined leader has a tighter standard error than screening.
-        let cheap_se = cheap.ranking.get("t5[League]").unwrap().std_error.unwrap();
-        let refined_se = refined
-            .ranking
-            .get("t5[League]")
-            .unwrap()
-            .std_error
-            .unwrap();
-        assert!(refined_se < cheap_se, "{refined_se} vs {cheap_se}");
-        // Non-leaders keep their screened values.
-        assert_eq!(
-            refined.ranking.get("t1[Place]").unwrap().value,
-            cheap.ranking.get("t1[Place]").unwrap().value
-        );
-    }
-
-    #[test]
     fn constraint_interactions_show_c1_c2_complementarity() {
         let dirty = laliga::dirty_table();
         let dcs = laliga::constraints();
@@ -1068,7 +915,7 @@ mod tests {
     }
 
     #[test]
-    fn multithreaded_explainer_is_deterministic_and_keeps_the_headline() {
+    fn multithreaded_explainer_is_serial_identical_and_keeps_the_headline() {
         let dirty = laliga::dirty_table();
         let dcs = laliga::constraints();
         let alg = laliga::algorithm1();
@@ -1089,11 +936,10 @@ mod tests {
             .unwrap();
         let one = run(1);
         assert_eq!(serial.values, one.values);
-        // A fixed (seed, threads) pair is reproducible, and the paper's
-        // headline ranking survives the re-chunked sample streams.
+        // Any thread count returns the serial estimates, so the paper's
+        // headline ranking is the same on every machine.
         let a = run(4);
-        let b = run(4);
-        assert_eq!(a.values, b.values);
+        assert_eq!(serial.values, a.values);
         assert_eq!(a.ranking.top().unwrap().label, "t5[League]");
         assert_eq!(a.ranking.get("t1[Place]").unwrap().value, 0.0);
     }
@@ -1117,7 +963,7 @@ mod tests {
         let (b, conv_b) = ex
             .explain_cells_adaptive(&dcs, &dirty, cell, config)
             .unwrap();
-        assert_eq!(a.values, b.values, "deterministic per (seed, threads)");
+        assert_eq!(a.values, b.values, "deterministic per seed");
         assert_eq!(conv_a, conv_b);
         // t1[Place] is a dummy: zero variance, so it converges in the
         // minimum number of rounds with a zero estimate.
@@ -1135,48 +981,13 @@ mod tests {
     fn explainer_config_accessors_and_defaults() {
         let alg = laliga::algorithm1();
         assert_eq!(Explainer::new(&alg).threads(), 1);
-        assert_eq!(Explainer::new(&alg).schedule(), None);
         assert_eq!(Explainer::new(&alg).oracle_capacity(), None);
         assert_eq!(Explainer::new(&alg).config(), ExecConfig::default());
-        let cfg = ExecConfig::new()
-            .with_threads(8)
-            .with_schedule(Schedule::PlayerSharded)
-            .with_oracle_cap(64);
+        let cfg = ExecConfig::new().with_threads(8).with_oracle_cap(64);
         let ex = Explainer::new(&alg).with_config(cfg);
         assert_eq!(ex.threads(), 8);
-        assert_eq!(ex.schedule(), Some(Schedule::PlayerSharded));
         assert_eq!(ex.oracle_capacity(), Some(64));
         assert_eq!(ex.config(), cfg);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_explainer_shims_delegate_to_the_config() {
-        // Each legacy builder must behave exactly like editing the config.
-        let alg = laliga::algorithm1();
-        assert_eq!(Explainer::new(&alg).with_threads(8).threads(), 8);
-        assert_eq!(
-            Explainer::new(&alg)
-                .with_schedule(Schedule::PlayerSharded)
-                .schedule(),
-            Some(Schedule::PlayerSharded)
-        );
-        assert_eq!(
-            Explainer::new(&alg)
-                .with_oracle_capacity(64)
-                .oracle_capacity(),
-            Some(64)
-        );
-        // Shims and with_config land on the same ExecConfig.
-        let chained = Explainer::new(&alg)
-            .with_threads(2)
-            .with_schedule(Schedule::WorkStealing)
-            .with_oracle_capacity(16);
-        let direct = ExecConfig::new()
-            .with_threads(2)
-            .with_schedule(Schedule::WorkStealing)
-            .with_oracle_cap(16);
-        assert_eq!(chained.config(), direct);
     }
 
     #[test]
@@ -1250,44 +1061,9 @@ mod tests {
     }
 
     #[test]
-    fn work_stealing_explanations_are_thread_count_invariant() {
-        // The stealing schedule end to end: the adaptive explanation is
-        // identical at every thread count (its serial reference is the
-        // round-laddered estimator, pinned in trex-shapley).
-        let dirty = laliga::dirty_table();
-        let dcs = laliga::constraints();
-        let alg = laliga::algorithm1();
-        let cell = laliga::cell_of_interest(&dirty);
-        let config = AdaptiveConfig {
-            tolerance: 0.1,
-            batch: 30,
-            max_samples: 240,
-            ..AdaptiveConfig::default()
-        };
-        let run = |threads: usize| {
-            Explainer::new(&alg)
-                .with_config(
-                    ExecConfig::new()
-                        .with_threads(threads)
-                        .with_schedule(Schedule::WorkStealing),
-                )
-                .explain_cells_adaptive(&dcs, &dirty, cell, config)
-                .unwrap()
-        };
-        let (serial, serial_conv) = run(1);
-        for threads in [2usize, 4] {
-            let (multi, multi_conv) = run(threads);
-            assert_eq!(serial.values, multi.values, "threads {threads}");
-            assert_eq!(serial_conv, multi_conv, "threads {threads}");
-        }
-        // The dummy cell still pins to zero under the round ladder.
-        assert_eq!(serial.ranking.get("t1[Place]").unwrap().value, 0.0);
-    }
-
-    #[test]
-    fn player_sharded_explanations_are_serial_identical_at_any_thread_count() {
-        // The stronger contract of Schedule::PlayerSharded, end to end:
-        // the multi-threaded explanation *is* the single-threaded one.
+    fn explanations_are_serial_identical_at_any_thread_count() {
+        // The sampling contract end to end: the multi-threaded explanation
+        // *is* the single-threaded one.
         let dirty = laliga::dirty_table();
         let dcs = laliga::constraints();
         let alg = laliga::algorithm1();
@@ -1298,11 +1074,7 @@ mod tests {
         };
         let run = |threads: usize| {
             Explainer::new(&alg)
-                .with_config(
-                    ExecConfig::new()
-                        .with_threads(threads)
-                        .with_schedule(Schedule::PlayerSharded),
-                )
+                .with_config(ExecConfig::new().with_threads(threads))
                 .explain_cells_masked(&dcs, &dirty, cell, MaskMode::Null, cfg)
                 .unwrap()
         };
@@ -1313,11 +1085,7 @@ mod tests {
         // Same for the replacement-semantics per-player estimator.
         let run_sampled = |threads: usize| {
             Explainer::new(&alg)
-                .with_config(
-                    ExecConfig::new()
-                        .with_threads(threads)
-                        .with_schedule(Schedule::PlayerSharded),
-                )
+                .with_config(ExecConfig::new().with_threads(threads))
                 .explain_cells_sampled(
                     &dcs,
                     &dirty,
@@ -1340,7 +1108,7 @@ mod tests {
     }
 
     #[test]
-    fn player_sharded_adaptive_is_serial_identical() {
+    fn adaptive_explanations_are_serial_identical_at_any_thread_count() {
         let dirty = laliga::dirty_table();
         let dcs = laliga::constraints();
         let alg = laliga::algorithm1();
@@ -1353,11 +1121,7 @@ mod tests {
         };
         let run = |threads: usize| {
             Explainer::new(&alg)
-                .with_config(
-                    ExecConfig::new()
-                        .with_threads(threads)
-                        .with_schedule(Schedule::PlayerSharded),
-                )
+                .with_config(ExecConfig::new().with_threads(threads))
                 .explain_cells_adaptive(&dcs, &dirty, cell, config)
                 .unwrap()
         };
@@ -1391,16 +1155,15 @@ mod tests {
             samples: 150,
             seed: 9,
         };
-        for schedule in [
-            Schedule::PlayerSharded,
-            Schedule::BudgetSplit,
-            Schedule::WorkStealing,
-        ] {
-            let ex = Explainer::new(&alg)
-                .with_config(ExecConfig::new().with_threads(2).with_schedule(schedule));
+        let serial = Explainer::new(&alg)
+            .explain_cells_masked(&dcs, &dirty, cell, MaskMode::Null, config)
+            .unwrap();
+        for threads in [1usize, 2] {
+            let ex = Explainer::new(&alg).with_config(ExecConfig::new().with_threads(threads));
             let batch = ex
                 .explain_cells_masked(&dcs, &dirty, cell, MaskMode::Null, config)
                 .unwrap();
+            assert_eq!(batch.values, serial.values, "threads {threads}");
             let mut checkpoints = 0usize;
             let (anytime, finished) = ex
                 .explain_cells_masked_anytime(
@@ -1418,10 +1181,10 @@ mod tests {
                     },
                 )
                 .unwrap();
-            assert!(finished, "{schedule:?}");
-            assert!(checkpoints >= 3, "{schedule:?}: {checkpoints}");
-            assert_eq!(anytime.values, batch.values, "{schedule:?}");
-            assert_eq!(anytime.players, batch.players, "{schedule:?}");
+            assert!(finished, "threads {threads}");
+            assert!(checkpoints >= 3, "threads {threads}: {checkpoints}");
+            assert_eq!(anytime.values, batch.values, "threads {threads}");
+            assert_eq!(anytime.players, batch.players, "threads {threads}");
         }
     }
 }

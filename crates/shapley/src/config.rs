@@ -1,6 +1,6 @@
 //! One execution-configuration surface for every layer.
 //!
-//! Threads, schedule, oracle capacity, and seed used to be scattered across
+//! Threads, oracle capacity, and seed used to be scattered across
 //! `Session` setters, `Explainer` builders, per-engine `with_threads`
 //! methods, and three copies of CLI flag parsing. [`ExecConfig`] is the one
 //! value they all accept now: build it once, hand it to
@@ -10,22 +10,20 @@
 use crate::parallel::Schedule;
 
 /// Execution knobs shared by sessions, explainers, repair engines, and the
-/// CLI: worker count, scheduling policy, oracle cache bound, and sampling
-/// seed.
+/// CLI: worker count, oracle cache bound, batched-dispatch bound, and
+/// sampling seed.
 ///
 /// A plain-old-data builder: all `with_*` methods consume and return the
 /// config, unset options mean "use the layer's default".
 ///
 /// ```
-/// use trex_shapley::{ExecConfig, Schedule};
+/// use trex_shapley::ExecConfig;
 /// let cfg = ExecConfig::new()
 ///     .with_threads(4)
-///     .with_schedule(Schedule::PlayerSharded)
 ///     .with_oracle_cap(1 << 16)
 ///     .with_oracle_batch(64)
 ///     .with_seed(42);
 /// assert_eq!(cfg.threads(), 4);
-/// assert_eq!(cfg.schedule(), Some(Schedule::PlayerSharded));
 /// assert_eq!(cfg.oracle_cap(), Some(1 << 16));
 /// assert_eq!(cfg.oracle_batch(), Some(64));
 /// assert_eq!(cfg.seed(), Some(42));
@@ -33,7 +31,6 @@ use crate::parallel::Schedule;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
     threads: usize,
-    schedule: Option<Schedule>,
     oracle_cap: Option<usize>,
     oracle_batch: Option<usize>,
     seed: Option<u64>,
@@ -44,7 +41,6 @@ impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
             threads: 1,
-            schedule: None,
             oracle_cap: None,
             oracle_batch: None,
             seed: None,
@@ -54,8 +50,8 @@ impl Default for ExecConfig {
 }
 
 impl ExecConfig {
-    /// The default configuration: 1 thread, auto schedule, unbounded oracle
-    /// cache, layer-default seed.
+    /// The default configuration: 1 thread, unbounded oracle cache,
+    /// layer-default seed.
     pub fn new() -> Self {
         Self::default()
     }
@@ -71,9 +67,10 @@ impl ExecConfig {
         self
     }
 
-    /// Pin the sampling schedule (default: [`Schedule::auto`] per call).
-    pub fn with_schedule(mut self, schedule: Schedule) -> Self {
-        self.schedule = Some(schedule);
+    /// Ignored: returns the configuration unchanged. Sampling has one
+    /// schedule, whose output does not depend on the thread count (see
+    /// [`crate::parallel`]).
+    pub fn with_schedule(self, _schedule: Schedule) -> Self {
         self
     }
 
@@ -117,9 +114,9 @@ impl ExecConfig {
         self.threads
     }
 
-    /// Pinned schedule, or `None` for auto-selection.
+    /// Ignored: always `None` (see [`ExecConfig::with_schedule`]).
     pub fn schedule(&self) -> Option<Schedule> {
-        self.schedule
+        None
     }
 
     /// Oracle cache bound in entries, or `None` for unbounded.
@@ -167,7 +164,9 @@ impl ExecConfig {
 /// contract here: `threads` absent or `0` resolves to the available
 /// parallelism via [`crate::parallel::resolve_threads`] (absurd counts keep
 /// the offending value and the cap in the message), `schedule` accepts
-/// `auto | player | budget | steal`, `oracle-batch` must be ≥ 1. Callers
+/// `auto | player | budget | steal` and is then ignored (the parallel
+/// drivers have one schedule; the knob is still parsed so existing command
+/// lines and URLs keep working), `oracle-batch` must be ≥ 1. Callers
 /// surface the returned message verbatim, so a bad `?threads=999999` on the
 /// server reads exactly like a bad `--threads 999999` on the CLI.
 pub fn exec_config_from_knobs<'v>(
@@ -182,10 +181,7 @@ pub fn exec_config_from_knobs<'v>(
     let threads = crate::parallel::resolve_threads(requested).map_err(|e| e.to_string())?;
     let mut cfg = ExecConfig::new().with_threads(threads);
     match get("schedule").unwrap_or("auto") {
-        "auto" => {}
-        "player" => cfg = cfg.with_schedule(Schedule::PlayerSharded),
-        "budget" => cfg = cfg.with_schedule(Schedule::BudgetSplit),
-        "steal" => cfg = cfg.with_schedule(Schedule::WorkStealing),
+        "auto" | "player" | "budget" | "steal" => {}
         other => {
             return Err(format!(
                 "unknown schedule {other:?} (auto | player | budget | steal)"
@@ -242,17 +238,33 @@ mod tests {
     fn builder_sets_every_knob() {
         let cfg = ExecConfig::new()
             .with_threads(8)
-            .with_schedule(Schedule::WorkStealing)
             .with_oracle_cap(0)
             .with_oracle_batch(32)
             .with_seed(7)
             .with_prune_redundant(true);
         assert_eq!(cfg.threads(), 8);
-        assert_eq!(cfg.schedule(), Some(Schedule::WorkStealing));
         assert_eq!(cfg.oracle_cap(), Some(0));
         assert_eq!(cfg.oracle_batch(), Some(32));
         assert_eq!(cfg.seed(), Some(7));
         assert!(cfg.prune_redundant());
+    }
+
+    #[test]
+    fn schedule_is_validated_then_ignored() {
+        let knobs = |schedule: &'static str| {
+            exec_config_from_knobs(move |name| (name == "schedule").then_some(schedule))
+        };
+        for name in ["auto", "player", "budget", "steal"] {
+            let cfg = knobs(name).unwrap();
+            assert_eq!(cfg.schedule(), None, "{name}");
+            assert_eq!(cfg, knobs("auto").unwrap(), "{name}");
+        }
+        assert_eq!(
+            knobs("nope").unwrap_err(),
+            "unknown schedule \"nope\" (auto | player | budget | steal)"
+        );
+        let pinned = ExecConfig::new().with_schedule(Schedule::WorkStealing);
+        assert_eq!(pinned, ExecConfig::new());
     }
 
     #[test]

@@ -48,8 +48,8 @@ impl RunningStats {
             0.0
         } else {
             // Welford's m2 is mathematically non-negative, but catastrophic
-            // cancellation on near-constant large-magnitude streams (and
-            // merges of such accumulators) can leave it a hair below zero;
+            // cancellation on near-constant large-magnitude streams can
+            // leave it a hair below zero;
             // sqrt would then turn the epsilon into NaN. Clamp at 0.
             (self.m2 / (self.count - 1) as f64).max(0.0)
         }
@@ -67,24 +67,6 @@ impl RunningStats {
         } else {
             self.std_dev() / (self.count as f64).sqrt()
         }
-    }
-
-    /// Merge another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
     }
 }
 
@@ -194,8 +176,8 @@ mod tests {
 
     #[test]
     fn spread_is_finite_and_non_negative_on_adversarial_streams() {
-        // Degenerate counts, constant streams, huge magnitudes, and merges
-        // of all of those: variance/std_dev/std_error must come back finite
+        // Degenerate counts, constant streams, and huge magnitudes:
+        // variance/std_dev/std_error must come back finite
         // and ≥ 0 (never the NaN a sqrt of a rounding-negative m2 or a 0/0
         // would produce). These values flow straight into serialized anytime
         // checkpoint payloads, where NaN would be invalid JSON.
@@ -207,7 +189,6 @@ mod tests {
             vec![f64::MIN_POSITIVE; 9],
             vec![1e300, 1e300, 1e300],
         ];
-        let mut accs: Vec<RunningStats> = Vec::new();
         for xs in &streams {
             let mut s = RunningStats::new();
             for &x in xs {
@@ -216,55 +197,7 @@ mod tests {
             assert!(s.variance().is_finite() && s.variance() >= 0.0, "{xs:?}");
             assert!(s.std_dev().is_finite() && s.std_dev() >= 0.0, "{xs:?}");
             assert!(s.std_error().is_finite() && s.std_error() >= 0.0, "{xs:?}");
-            accs.push(s);
         }
-        let mut merged = RunningStats::new();
-        for s in &accs[..4] {
-            // The huge-magnitude streams stay un-merged: their *means*
-            // genuinely overflow when combined, which is the caller's
-            // problem, not the accumulator's.
-            merged.merge(s);
-        }
-        assert!(merged.variance().is_finite() && merged.variance() >= 0.0);
-        assert!(merged.std_dev().is_finite() && merged.std_dev() >= 0.0);
-        assert!(merged.std_error().is_finite() && merged.std_error() >= 0.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..50).map(|i| (i as f64).sin() * 3.0).collect();
-        let mut all = RunningStats::new();
-        for x in &xs {
-            all.push(*x);
-        }
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        for (i, x) in xs.iter().enumerate() {
-            if i % 2 == 0 {
-                a.push(*x);
-            } else {
-                b.push(*x);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-12);
-        assert!((a.variance() - all.variance()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = RunningStats::new();
-        a.push(1.0);
-        a.push(3.0);
-        let before = (a.count(), a.mean(), a.variance());
-        a.merge(&RunningStats::new());
-        assert_eq!((a.count(), a.mean(), a.variance()), before);
-
-        let mut e = RunningStats::new();
-        e.merge(&a);
-        assert_eq!(e.count(), 2);
-        assert!((e.mean() - 2.0).abs() < 1e-12);
     }
 
     #[test]

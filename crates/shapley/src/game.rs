@@ -305,9 +305,9 @@ pub mod fixtures {
     /// The one-hot skewed *stochastic* game: player 0's marginal is a fair
     /// ±1 coin flip (unit variance — its adaptive budget runs to the
     /// sample cap, Shapley value 0), every other player is a dummy (zero
-    /// variance — stops at the minimum two batches). The canonical
-    /// workload for `Schedule::WorkStealing`: one player owning nearly the
-    /// whole adaptive budget, which whole-player claiming cannot balance.
+    /// variance — stops at the minimum two batches): one player owning
+    /// nearly the whole adaptive budget, which whole-player claiming cannot
+    /// spread over several workers.
     ///
     /// `work` iterations of integer mixing are burned per evaluation to
     /// emulate the cost of a repair-oracle call (`0` for pure logic

@@ -16,10 +16,9 @@
 //! | parallel permutation sampling | [`parallel`] | `Θ(m / threads)` | cells, multi-core |
 //! | stratified / antithetic variants | [`stratified`] | `Θ(m)` | ablation A3 |
 //!
-//! Every sampling estimator — plain, adaptive, stratified, antithetic —
-//! has a [`parallel`] counterpart with the same `(seed, threads)`
-//! determinism contract (`threads = 1` replays the serial path bit for
-//! bit).
+//! The all-player estimators — walk, per-player, adaptive — have
+//! [`parallel`] counterparts whose output equals the serial estimator bit
+//! for bit at every thread count; `threads` only sets wall time.
 //!
 //! All solvers operate on [`Game`]/[`StochasticGame`] and are exercised
 //! against closed-form fixtures ([`game::fixtures`]) and against each other
@@ -54,8 +53,8 @@ pub use parallel::{
 };
 pub use perm::{shapley_permutation_exact, MAX_PERM_PLAYERS};
 pub use sampling::{
-    estimate_all, estimate_all_walk, estimate_player, estimate_player_adaptive,
-    estimate_player_adaptive_rounds, player_seed, round_seed, Estimate, SamplingConfig,
+    estimate_all, estimate_all_walk, estimate_player, estimate_player_adaptive, player_seed,
+    Estimate, SamplingConfig,
 };
 pub use stratified::{estimate_player_antithetic, estimate_player_stratified};
 

@@ -57,6 +57,15 @@ pub struct Estimate {
 }
 
 impl Estimate {
+    /// The estimate a run's accumulated marginals support.
+    pub(crate) fn from_stats(stats: &RunningStats) -> Estimate {
+        Estimate {
+            value: stats.mean(),
+            std_dev: stats.std_dev(),
+            samples: stats.count(),
+        }
+    }
+
     /// Standard error of the mean, `s/√m`.
     pub fn std_error(&self) -> f64 {
         if self.samples == 0 {
@@ -77,49 +86,15 @@ impl Estimate {
 /// laddered by a golden-ratio multiple of the player index, so per-player
 /// sample streams are decorrelated but fully determined by the base seed.
 ///
-/// Shared by [`estimate_all`], the parallel engine's player-sharded
-/// schedules, and `trex` core's adaptive explainer — every all-player
-/// driver must ladder identically for the serial-equivalence contracts to
-/// compose.
+/// Shared by [`estimate_all`], the parallel engine's per-player drivers,
+/// and `trex` core's adaptive explainer — every all-player driver must
+/// ladder identically for the serial-equivalence contracts to compose.
 pub fn player_seed(seed: u64, player: usize) -> u64 {
     seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(player as u64 + 1))
 }
 
-/// SplitMix64 finalizer (Steele, Lea, Flood 2014) — the standard 64-bit
-/// mixer. One copy serves every seed ladder in the crate: the parallel
-/// engine's worker streams and the round ladder below must all decorrelate
-/// with the same function, or two ladders could collide.
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The derived seed of `round` in the round-laddered adaptive estimator
-/// ([`estimate_player_adaptive_rounds`]): round 0 keeps the (per-player)
-/// seed unmodified, later rounds xor a SplitMix64 hash of their index.
-///
-/// Laddering per *round* instead of running one continuous stream is what
-/// makes a round a relocatable unit of work: any worker can compute round
-/// `r` of any player from `(seed, r)` alone, so the work-stealing schedule
-/// (`trex_shapley::parallel::Schedule::WorkStealing`) can spread one
-/// player's rounds across workers and still merge, in round order, to the
-/// exact statistics of the serial round-laddered loop.
-pub fn round_seed(seed: u64, round: usize) -> u64 {
-    if round == 0 {
-        seed
-    } else {
-        seed ^ splitmix64(round as u64)
-    }
-}
-
 /// Draw a uniform permutation of `0..n` (Fisher–Yates).
-///
-/// Shared with [`crate::parallel`]: the serial and parallel estimators must
-/// consume the RNG identically for the `threads = 1` bit-for-bit contract,
-/// so there is exactly one copy of every sampling primitive.
-pub(crate) fn random_permutation<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<usize> {
+fn random_permutation<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<usize> {
     let mut perm = Vec::with_capacity(n);
     random_permutation_into(&mut perm, n, rng);
     perm
@@ -127,6 +102,11 @@ pub(crate) fn random_permutation<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<
 
 /// [`random_permutation`] into a reused buffer: identical RNG draws and
 /// output, no per-sample allocation.
+///
+/// Shared with [`crate::parallel`], which draws the walk stream ahead of
+/// evaluating it: the serial and parallel walk drivers must consume the RNG
+/// identically for their bit-for-bit contract, so there is exactly one copy
+/// of every sampling primitive.
 pub(crate) fn random_permutation_into<R: Rng + ?Sized>(
     perm: &mut Vec<usize>,
     n: usize,
@@ -140,11 +120,10 @@ pub(crate) fn random_permutation_into<R: Rng + ?Sized>(
     }
 }
 
-/// Reused per-walk buffers: the permutation, the growing prefix coalition,
-/// and the walk's materialized prefix batch. One set of allocations per
-/// *driver* instead of per walk.
+/// Reused per-walk buffers: the growing prefix coalition and the walk's
+/// materialized prefix batch. One set of allocations per walk *driver*
+/// (per worker, in [`crate::parallel`]) instead of per walk.
 pub(crate) struct WalkScratch {
-    perm: Vec<usize>,
     prefix: Coalition,
     /// The walk's `n + 1` prefix coalitions, materialized so the whole walk
     /// evaluates through one [`Game::value_batch`] call; the word buffers
@@ -155,7 +134,6 @@ pub(crate) struct WalkScratch {
 impl WalkScratch {
     pub(crate) fn new(n: usize) -> Self {
         WalkScratch {
-            perm: Vec::with_capacity(n),
             prefix: Coalition::empty(n),
             prefixes: vec![Coalition::empty(n); n + 1],
         }
@@ -164,8 +142,7 @@ impl WalkScratch {
 
 /// One marginal sample for `player` (Example 2.5): draw a permutation, form
 /// the predecessor coalition, evaluate the pair, return `v(S∪{i}) − v(S)`.
-/// Shared with [`crate::parallel`] (see [`random_permutation`]).
-pub(crate) fn marginal_sample<G: StochasticGame + ?Sized>(
+fn marginal_sample<G: StochasticGame + ?Sized>(
     game: &G,
     player: usize,
     rng: &mut rand::rngs::StdRng,
@@ -183,34 +160,34 @@ pub(crate) fn marginal_sample<G: StochasticGame + ?Sized>(
     with - without
 }
 
-/// One full permutation walk (Castro et al.): visit the players in a fresh
-/// random order, pushing every incremental marginal into `stats`. Shared
-/// with [`crate::parallel`] (see [`random_permutation`]); `scratch` is
-/// reused across walks and does not affect the RNG stream or the output.
-pub(crate) fn walk_once<G: Game + ?Sized>(
+/// Evaluate one permutation walk (Castro et al.): visit the players in
+/// `perm` order and write every player's incremental marginal into
+/// `marginals[player]`. Shared with [`crate::parallel`] (see
+/// [`random_permutation_into`]); `scratch` is reused across walks and does
+/// not affect the output.
+pub(crate) fn walk_marginals<G: Game + ?Sized>(
     game: &G,
-    rng: &mut rand::rngs::StdRng,
-    stats: &mut [RunningStats],
+    perm: &[usize],
     scratch: &mut WalkScratch,
+    marginals: &mut [f64],
 ) {
-    let n = game.num_players();
-    random_permutation_into(&mut scratch.perm, n, rng);
+    let n = perm.len();
     let s = &mut scratch.prefix;
     s.clear();
     // Materialize the walk's n+1 prefix coalitions and evaluate them as one
     // batch: a batched oracle sees one dispatch per walk instead of n+1,
-    // and the values — hence the pushed marginals and their fold order —
-    // are identical to incremental per-prefix `value` calls.
+    // and the values — hence the marginals — are identical to incremental
+    // per-prefix `value` calls.
     debug_assert_eq!(scratch.prefixes.len(), n + 1);
     scratch.prefixes[0].clone_from(s);
-    for (i, &p) in scratch.perm.iter().enumerate() {
+    for (i, &p) in perm.iter().enumerate() {
         s.insert(p);
         scratch.prefixes[i + 1].clone_from(s);
     }
     let values = game.value_batch(&scratch.prefixes);
     assert_eq!(values.len(), n + 1, "value_batch must answer per coalition");
-    for (i, &p) in scratch.perm.iter().enumerate() {
-        stats[p].push(values[i + 1] - values[i]);
+    for (i, &p) in perm.iter().enumerate() {
+        marginals[p] = values[i + 1] - values[i];
     }
 }
 
@@ -228,11 +205,7 @@ pub fn estimate_player<G: StochasticGame + ?Sized>(
     for _ in 0..config.samples {
         stats.push(marginal_sample(game, player, &mut rng));
     }
-    Estimate {
-        value: stats.mean(),
-        std_dev: stats.std_dev(),
-        samples: stats.count(),
-    }
+    Estimate::from_stats(&stats)
 }
 
 /// Estimate all players independently (`config.samples` samples each).
@@ -265,17 +238,16 @@ pub fn estimate_all_walk<G: Game + ?Sized>(game: &G, config: SamplingConfig) -> 
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut stats = vec![RunningStats::new(); n];
     let mut scratch = WalkScratch::new(n);
+    let mut perm = Vec::with_capacity(n);
+    let mut marginals = vec![0.0; n];
     for _ in 0..config.samples {
-        walk_once(game, &mut rng, &mut stats, &mut scratch);
+        random_permutation_into(&mut perm, n, &mut rng);
+        walk_marginals(game, &perm, &mut scratch, &mut marginals);
+        for (st, &m) in stats.iter_mut().zip(&marginals) {
+            st.push(m);
+        }
     }
-    stats
-        .into_iter()
-        .map(|st| Estimate {
-            value: st.mean(),
-            std_dev: st.std_dev(),
-            samples: st.count(),
-        })
-        .collect()
+    stats.iter().map(Estimate::from_stats).collect()
 }
 
 /// Adaptive estimation of one player: keep sampling in `batch`-sized chunks
@@ -299,11 +271,7 @@ pub fn estimate_player_adaptive<G: StochasticGame + ?Sized>(
         for _ in 0..batch {
             stats.push(marginal_sample(game, player, &mut rng));
         }
-        let est = Estimate {
-            value: stats.mean(),
-            std_dev: stats.std_dev(),
-            samples: stats.count(),
-        };
+        let est = Estimate::from_stats(&stats);
         // Require at least two batches before trusting the variance.
         if stats.count() >= 2 * batch && est.ci_half_width(z) <= tolerance {
             return (est, true);
@@ -312,61 +280,6 @@ pub fn estimate_player_adaptive<G: StochasticGame + ?Sized>(
             return (est, false);
         }
     }
-}
-
-/// Round-laddered adaptive estimation of one player: the stopping rule of
-/// [`estimate_player_adaptive`] (same `batch`/`tolerance`/`z`/`max_samples`
-/// semantics), but round `r` draws its `batch` samples from a *fresh* RNG
-/// seeded [`round_seed`]`(seed, r)` instead of continuing one sequential
-/// stream.
-///
-/// This is the **serial reference of the work-stealing schedule**
-/// (`trex_shapley::parallel::Schedule::WorkStealing`): because every round
-/// is a pure function of `(seed, round)`, rounds can be computed on any
-/// worker in any order and folded back in round order, reproducing this
-/// function bit for bit at any thread count. The price is a different (but
-/// equally valid) sample stream than [`estimate_player_adaptive`] — the two
-/// estimators agree statistically, not bitwise. A sequential stream cannot
-/// be split across workers: each round's RNG state would depend on all
-/// previous rounds' draws.
-pub fn estimate_player_adaptive_rounds<G: StochasticGame + ?Sized>(
-    game: &G,
-    player: usize,
-    tolerance: f64,
-    z: f64,
-    batch: usize,
-    max_samples: usize,
-    seed: u64,
-) -> (Estimate, bool) {
-    let n = game.num_players();
-    assert!(player < n, "player {player} out of range");
-    assert!(batch > 0, "batch must be positive");
-    let mut stats = RunningStats::new();
-    for round in 0.. {
-        let mut rng = StdRng::seed_from_u64(round_seed(seed, round));
-        // Accumulate the round separately, then combine with the exact
-        // parallel-Welford merge: the work-stealing engine folds whole
-        // rounds, and the fold arithmetic is part of the bitwise contract.
-        let mut round_stats = RunningStats::new();
-        for _ in 0..batch {
-            round_stats.push(marginal_sample(game, player, &mut rng));
-        }
-        stats.merge(&round_stats);
-        let est = Estimate {
-            value: stats.mean(),
-            std_dev: stats.std_dev(),
-            samples: stats.count(),
-        };
-        // The exact stopping rule of `estimate_player_adaptive`: at least
-        // two batches before trusting the variance, then the CI check.
-        if stats.count() >= 2 * batch && est.ci_half_width(z) <= tolerance {
-            return (est, true);
-        }
-        if stats.count() >= max_samples {
-            return (est, false);
-        }
-    }
-    unreachable!("the sample cap terminates the round loop")
 }
 
 #[cfg(test)]
@@ -476,39 +389,6 @@ mod tests {
         let g = fixtures::gloves(2, 2);
         let (_est, converged) = estimate_player_adaptive(&g, 0, 1e-9, 1.96, 10, 50, 7);
         assert!(!converged);
-    }
-
-    #[test]
-    fn round_ladder_keeps_round_zero_and_decorrelates_the_rest() {
-        assert_eq!(round_seed(99, 0), 99, "round 0 keeps the player seed");
-        let seeds: Vec<u64> = (0..50).map(|r| round_seed(99, r)).collect();
-        let mut dedup = seeds.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), seeds.len(), "round seeds must not collide");
-    }
-
-    #[test]
-    fn adaptive_rounds_converges_and_respects_the_cap() {
-        let g = fixtures::unanimity(6, vec![0, 1, 2]);
-        let (est, converged) = estimate_player_adaptive_rounds(&g, 0, 0.02, 1.96, 500, 200_000, 7);
-        assert!(converged);
-        assert!((est.value - 1.0 / 3.0).abs() < 0.05);
-        let (est, converged) = estimate_player_adaptive_rounds(&g, 0, 1e-12, 1.96, 10, 100, 7);
-        assert!(!converged);
-        assert_eq!(est.samples, 100, "cap reached in whole batches");
-    }
-
-    #[test]
-    fn adaptive_rounds_is_deterministic_and_stops_dummies_early() {
-        let g = fixtures::paper_example_2_3();
-        let a = estimate_player_adaptive_rounds(&g, 3, 0.05, 1.96, 40, 4000, 11);
-        let b = estimate_player_adaptive_rounds(&g, 3, 0.05, 1.96, 40, 4000, 11);
-        assert_eq!(a, b);
-        // Player 3 is a dummy: zero variance, stop at exactly two batches.
-        assert!(a.1);
-        assert_eq!(a.0.samples, 80);
-        assert_eq!(a.0.value, 0.0);
     }
 
     #[test]

@@ -2,36 +2,39 @@
 //! paper's own games (cross-crate: `trex-shapley` workers driving the
 //! `trex-core` coalition games over the `trex-repair` sharded oracle).
 //!
-//! The determinism contract under test:
-//! * `parallel::estimate_all` / `estimate_all_walk` with `threads = 1`
-//!   reproduce `sampling::estimate_all` / `estimate_all_walk` bit for bit —
-//!   and the same holds for the adaptive, stratified, and antithetic
-//!   variants against their serial counterparts;
-//! * for any fixed `(seed, threads)` pair the parallel estimates are
-//!   reproducible;
-//! * the walk estimator stays exactly efficient (per-permutation marginals
-//!   telescope to `v(N)`), regardless of how walks are chunked onto workers;
-//! * `Schedule::PlayerSharded` is **identical to the serial estimators at
-//!   any thread count** (the strictly stronger contract), and the
-//!   giant-bucket block split keeps `find_violations_par` serial-identical
-//!   on a table whose rows all share one equality-bucket key;
-//! * `Schedule::WorkStealing` is identical at any thread count to the
-//!   serial *round-laddered* adaptive estimator
-//!   (`sampling::estimate_player_adaptive_rounds` under the `player_seed`
-//!   ladder) — pinned on a skewed-adaptive fixture where one hot player
-//!   owns an order of magnitude more budget than the rest, the exact shape
-//!   round stealing exists for.
+//! The determinism contract under test: every parallel driver —
+//! `parallel::estimate_all_walk` (and its anytime variant),
+//! `parallel::estimate_all`, `parallel::estimate_all_adaptive` — returns
+//! its serial `sampling::` counterpart **bit for bit at every thread
+//! count**, so `threads` only sets wall time. It holds end to end: a cell
+//! explanation is the same on a 2-core and a 16-core machine, and pinning
+//! one of the retired (ignored) schedules changes nothing. The walk
+//! estimator also stays exactly efficient (per-permutation marginals
+//! telescope to `v(N)`), and the giant-bucket block split keeps
+//! `find_violations_par` serial-identical on a table whose rows all share
+//! one equality-bucket key.
 //!
 //! CI's thread-matrix job re-runs this file with `TREX_TEST_THREADS` set to
 //! 1/2/4/8 on a machine with real cores; the variable adds that count to
 //! every thread sweep below.
 
-use trex::{CellGameMasked, CellGameSampled, MaskMode};
+use trex::{AdaptiveConfig, CellGameMasked, CellGameSampled, ExecConfig, Explainer, MaskMode};
 use trex_datagen::laliga;
 use trex_shapley::{
-    parallel, sampling, stratified, Game, ParallelConfig, SamplingConfig, Schedule, StochasticGame,
+    parallel, sampling, AnytimeControl, Estimate, Game, ParallelConfig, SamplingConfig, Schedule,
+    StochasticGame,
 };
 use trex_table::Value;
+
+/// Every thread count the contract is pinned at (plus `TREX_TEST_THREADS`).
+const SWEEP: [usize; 5] = [1, 2, 4, 8, 16];
+
+/// The retired schedules, each of which must now be ignored.
+const SCHEDULES: [Schedule; 3] = [
+    Schedule::BudgetSplit,
+    Schedule::PlayerSharded,
+    Schedule::WorkStealing,
+];
 
 /// The thread counts a sweep exercises: `base`, plus the CI thread-matrix
 /// count from `TREX_TEST_THREADS` when set.
@@ -91,21 +94,24 @@ fn one_thread_replacement_sampling_matches_serial() {
 
 #[test]
 fn fixed_seed_threads_pair_is_reproducible_on_the_cell_game() {
+    // Stronger than per-(seed, threads) reproducibility: every thread
+    // count reproduces the serial stream.
     let dirty = laliga::dirty_table();
     let dcs = laliga::constraints();
     let alg = laliga::algorithm1();
-    for threads in [2usize, 4] {
+    let cfg = SamplingConfig {
+        samples: 120,
+        seed: 9,
+    };
+    let serial = sampling::estimate_all_walk(&masked_game(&alg, &dcs, &dirty), cfg);
+    for threads in thread_counts(&SWEEP) {
         // Fresh games per run: the shared oracle cache must not be able to
         // mask a nondeterministic estimate.
-        let a = parallel::estimate_all_walk(
+        let par = parallel::estimate_all_walk(
             &masked_game(&alg, &dcs, &dirty),
-            ParallelConfig::new(120, 9, threads),
+            ParallelConfig::from_sampling(cfg, threads),
         );
-        let b = parallel::estimate_all_walk(
-            &masked_game(&alg, &dcs, &dirty),
-            ParallelConfig::new(120, 9, threads),
-        );
-        assert_eq!(a, b, "threads = {threads}");
+        assert_eq!(serial, par, "threads = {threads}");
     }
 }
 
@@ -116,7 +122,7 @@ fn parallel_walk_keeps_the_efficiency_axiom_and_the_headline() {
     let alg = laliga::algorithm1();
     let game = masked_game(&alg, &dcs, &dirty);
     let n = Game::num_players(&game);
-    for threads in [1usize, 3, 8] {
+    for threads in [1usize, 3, 8, 16] {
         let ests = parallel::estimate_all_walk(&game, ParallelConfig::new(300, 3, threads));
         // Efficiency: the grand coalition repairs the cell (v(N) = 1), and
         // walk marginals telescope to it exactly at any chunking.
@@ -144,6 +150,31 @@ fn sampled_game<'a>(
     CellGameSampled::new(alg, dcs, dirty, cell, Value::str("Spain"))
 }
 
+/// The serial reference of `parallel::estimate_all_adaptive`: the
+/// continuous-stream adaptive loop per player, seeds laddered by
+/// `player_seed`.
+fn serial_adaptive<G: StochasticGame>(
+    game: &G,
+    tolerance: f64,
+    batch: usize,
+    max_samples: usize,
+    seed: u64,
+) -> Vec<(Estimate, bool)> {
+    (0..game.num_players())
+        .map(|p| {
+            sampling::estimate_player_adaptive(
+                game,
+                p,
+                tolerance,
+                1.96,
+                batch,
+                max_samples,
+                trex_shapley::player_seed(seed, p),
+            )
+        })
+        .collect()
+}
+
 #[test]
 fn one_thread_adaptive_matches_serial_on_the_laliga_cell_game() {
     let dirty = laliga::dirty_table();
@@ -152,65 +183,18 @@ fn one_thread_adaptive_matches_serial_on_the_laliga_cell_game() {
     let game = sampled_game(&alg, &dcs, &dirty);
     // A converging run (loose tolerance) and a budget-capped run (absurd
     // tolerance) must both replay the serial stream exactly.
-    for (tol, max) in [(0.2, 2000), (1e-9, 60)] {
-        let (serial, s_ok) = sampling::estimate_player_adaptive(&game, 0, tol, 1.96, 20, max, 7);
-        let (par, p_ok) = parallel::estimate_player_adaptive(&game, 0, tol, 1.96, 20, max, 7, 1);
+    for (tol, max) in [(0.2, 200), (1e-9, 60)] {
+        let serial = serial_adaptive(&game, tol, 20, max, 7);
+        let par = parallel::estimate_all_adaptive(&game, tol, 1.96, 20, max, 7, 1);
         assert_eq!(serial, par, "tol {tol}");
-        assert_eq!(s_ok, p_ok);
     }
 }
 
 #[test]
-fn one_thread_stratified_and_antithetic_match_serial_on_the_laliga_cell_game() {
-    let dirty = laliga::dirty_table();
-    let dcs = laliga::constraints();
-    let alg = laliga::algorithm1();
-    let game = sampled_game(&alg, &dcs, &dirty);
-    let serial = stratified::estimate_player_stratified(&game, 3, 2, 11);
-    let par = parallel::estimate_player_stratified(&game, 3, 2, 11, 1);
-    assert_eq!(serial, par, "stratified: threads = 1 replays serial");
-    let serial = stratified::estimate_player_antithetic(&game, 3, 30, 11);
-    let par = parallel::estimate_player_antithetic(&game, 3, 30, 11, 1);
-    assert_eq!(serial, par, "antithetic: threads = 1 replays serial");
-}
-
-#[test]
-fn variance_reduced_estimators_are_reproducible_at_four_threads() {
-    let dirty = laliga::dirty_table();
-    let dcs = laliga::constraints();
-    let alg = laliga::algorithm1();
-    // Fresh games per run: the shared oracle cache must not be able to mask
-    // a nondeterministic estimate.
-    let strat =
-        || parallel::estimate_player_stratified(&sampled_game(&alg, &dcs, &dirty), 3, 2, 9, 4);
-    assert_eq!(strat(), strat());
-    let anti =
-        || parallel::estimate_player_antithetic(&sampled_game(&alg, &dcs, &dirty), 3, 24, 9, 4);
-    assert_eq!(anti(), anti());
-    let adapt = || {
-        parallel::estimate_player_adaptive(
-            &sampled_game(&alg, &dcs, &dirty),
-            3,
-            0.15,
-            1.96,
-            15,
-            300,
-            9,
-            4,
-        )
-    };
-    let (a, a_ok) = adapt();
-    let (b, b_ok) = adapt();
-    assert_eq!(a, b);
-    assert_eq!(a_ok, b_ok);
-}
-
-#[test]
 fn player_sharded_walk_is_serial_identical_on_the_laliga_cell_game() {
-    // Acceptance criterion of the player-sharded schedule: bit-for-bit the
-    // serial `sampling::estimate_all_walk` at thread counts 1, 2, and 4
-    // (and the CI matrix count), on the paper's own cell game over the
-    // shared repair oracle.
+    // Bit-for-bit the serial `sampling::estimate_all_walk` at every thread
+    // count, with or without one of the retired (now ignored) schedules
+    // pinned, on the paper's own cell game over the shared repair oracle.
     let dirty = laliga::dirty_table();
     let dcs = laliga::constraints();
     let alg = laliga::algorithm1();
@@ -219,12 +203,14 @@ fn player_sharded_walk_is_serial_identical_on_the_laliga_cell_game() {
         seed: 3,
     };
     let serial = sampling::estimate_all_walk(&masked_game(&alg, &dcs, &dirty), cfg);
-    for threads in thread_counts(&[1, 2, 4]) {
-        let par = parallel::estimate_all_walk(
-            &masked_game(&alg, &dcs, &dirty),
-            ParallelConfig::from_sampling(cfg, threads).with_schedule(Schedule::PlayerSharded),
-        );
-        assert_eq!(serial, par, "threads = {threads}");
+    for threads in thread_counts(&SWEEP) {
+        for schedule in SCHEDULES {
+            let par = parallel::estimate_all_walk(
+                &masked_game(&alg, &dcs, &dirty),
+                ParallelConfig::from_sampling(cfg, threads).with_schedule(schedule),
+            );
+            assert_eq!(serial, par, "threads = {threads}, {schedule}");
+        }
     }
 }
 
@@ -238,12 +224,14 @@ fn player_sharded_estimate_all_is_serial_identical_on_the_laliga_cell_game() {
         seed: 7,
     };
     let serial = sampling::estimate_all(&sampled_game(&alg, &dcs, &dirty), cfg);
-    for threads in thread_counts(&[1, 2, 4]) {
-        let par = parallel::estimate_all(
-            &sampled_game(&alg, &dcs, &dirty),
-            ParallelConfig::from_sampling(cfg, threads).with_schedule(Schedule::PlayerSharded),
-        );
-        assert_eq!(serial, par, "threads = {threads}");
+    for threads in thread_counts(&SWEEP) {
+        for schedule in SCHEDULES {
+            let par = parallel::estimate_all(
+                &sampled_game(&alg, &dcs, &dirty),
+                ParallelConfig::from_sampling(cfg, threads).with_schedule(schedule),
+            );
+            assert_eq!(serial, par, "threads = {threads}, {schedule}");
+        }
     }
 }
 
@@ -252,23 +240,8 @@ fn player_sharded_adaptive_driver_is_serial_identical() {
     let dirty = laliga::dirty_table();
     let dcs = laliga::constraints();
     let alg = laliga::algorithm1();
-    let serial: Vec<_> = {
-        let game = sampled_game(&alg, &dcs, &dirty);
-        (0..StochasticGame::num_players(&game))
-            .map(|p| {
-                sampling::estimate_player_adaptive(
-                    &game,
-                    p,
-                    0.15,
-                    1.96,
-                    15,
-                    120,
-                    trex_shapley::player_seed(9, p),
-                )
-            })
-            .collect()
-    };
-    for threads in thread_counts(&[1, 2, 4]) {
+    let serial = serial_adaptive(&sampled_game(&alg, &dcs, &dirty), 0.15, 15, 120, 9);
+    for threads in thread_counts(&SWEEP) {
         let par = parallel::estimate_all_adaptive(
             &sampled_game(&alg, &dcs, &dirty),
             0.15,
@@ -277,36 +250,19 @@ fn player_sharded_adaptive_driver_is_serial_identical() {
             120,
             9,
             threads,
-            Schedule::PlayerSharded,
         );
         assert_eq!(serial, par, "threads = {threads}");
     }
 }
 
 #[test]
-fn work_stealing_is_serial_identical_on_the_skewed_adaptive_fixture() {
-    // Acceptance criterion of the stealing schedule: bit-identical
-    // per-player estimates to the serial (round-laddered) estimator at
-    // thread counts 1/2/4/8 (and the CI matrix count) on the one-hot
-    // fixture — player 0's ±1 coin-flip marginal needs > 10× every other
-    // player's budget, so every worker ends up computing rounds of the
-    // same player, the hardest case for the determinism contract.
+fn adaptive_driver_is_serial_identical_on_the_skewed_fixture() {
+    // The one-hot fixture: player 0's ±1 coin-flip marginal needs > 10×
+    // every other player's budget, so the hot player's worker is still
+    // running long after every other player has been claimed and folded.
     let game = trex_shapley::game::fixtures::one_hot(9, 0);
-    let n = StochasticGame::num_players(&game);
-    let (tol, z, batch, cap, seed) = (0.03f64, 1.96f64, 25usize, 2000usize, 7u64);
-    let serial: Vec<(trex_shapley::Estimate, bool)> = (0..n)
-        .map(|p| {
-            sampling::estimate_player_adaptive_rounds(
-                &game,
-                p,
-                tol,
-                z,
-                batch,
-                cap,
-                trex_shapley::player_seed(seed, p),
-            )
-        })
-        .collect();
+    let (tol, batch, cap, seed) = (0.03f64, 25usize, 2000usize, 7u64);
+    let serial = serial_adaptive(&game, tol, batch, cap, seed);
     // The skew is real: the hot player runs to the cap (2000 samples), the
     // dummies stop at two batches (50) — a 40× budget ratio.
     assert!(!serial[0].1, "the hot player must exhaust its budget");
@@ -315,56 +271,102 @@ fn work_stealing_is_serial_identical_on_the_skewed_adaptive_fixture() {
         assert!(dummy.1);
         assert_eq!(dummy.0.samples, 2 * batch);
     }
-    for threads in thread_counts(&[1, 2, 4, 8]) {
-        let par = parallel::estimate_all_adaptive(
-            &game,
-            tol,
-            z,
-            batch,
-            cap,
-            seed,
-            threads,
-            Schedule::WorkStealing,
-        );
+    for threads in thread_counts(&SWEEP) {
+        let par = parallel::estimate_all_adaptive(&game, tol, 1.96, batch, cap, seed, threads);
         assert_eq!(serial, par, "threads = {threads}");
     }
 }
 
 #[test]
 fn work_stealing_is_serial_identical_on_the_laliga_cell_game() {
-    // The same contract on the paper's own replacement-semantics cell game
-    // over the shared repair oracle (uneven RNG consumption per eval).
+    // Pinning the steal schedule (`--schedule steal --adaptive`) is
+    // ignored: the answer is the continuous-stream serial loop's.
     let dirty = laliga::dirty_table();
     let dcs = laliga::constraints();
     let alg = laliga::algorithm1();
-    let serial: Vec<_> = {
-        let game = sampled_game(&alg, &dcs, &dirty);
-        (0..StochasticGame::num_players(&game))
-            .map(|p| {
-                sampling::estimate_player_adaptive_rounds(
-                    &game,
-                    p,
-                    0.15,
-                    1.96,
-                    15,
-                    120,
-                    trex_shapley::player_seed(9, p),
-                )
-            })
-            .collect()
+    let cell = laliga::cell_of_interest(&dirty);
+    let config = AdaptiveConfig {
+        tolerance: 0.15,
+        batch: 15,
+        max_samples: 120,
+        seed: 9,
+        ..AdaptiveConfig::default()
     };
-    for threads in thread_counts(&[1, 2, 4]) {
-        let par = parallel::estimate_all_adaptive(
-            &sampled_game(&alg, &dcs, &dirty),
-            0.15,
-            1.96,
-            15,
-            120,
-            9,
-            threads,
-            Schedule::WorkStealing,
-        );
-        assert_eq!(serial, par, "threads = {threads}");
+    let serial: Vec<f64> = serial_adaptive(&sampled_game(&alg, &dcs, &dirty), 0.15, 15, 120, 9)
+        .iter()
+        .map(|(e, _)| e.value)
+        .collect();
+    for threads in thread_counts(&SWEEP) {
+        let exec = ExecConfig::new()
+            .with_threads(threads)
+            .with_schedule(Schedule::WorkStealing);
+        let (got, _) = Explainer::new(&alg)
+            .with_config(exec)
+            .explain_cells_adaptive(&dcs, &dirty, cell, config)
+            .unwrap();
+        assert_eq!(serial, got.values, "threads = {threads}");
+    }
+}
+
+#[test]
+fn explanations_are_identical_at_every_core_count() {
+    // With no schedule pinned — the CLI and server default on a machine
+    // with that many cores — the masked, anytime, replacement, and adaptive
+    // cell explanations at every thread count equal the one-thread answer.
+    let dirty = laliga::dirty_table();
+    let dcs = laliga::constraints();
+    let alg = laliga::algorithm1();
+    let cell = laliga::cell_of_interest(&dirty);
+    let masked = SamplingConfig {
+        samples: 200,
+        seed: 0,
+    };
+    let sampled = SamplingConfig {
+        samples: 20,
+        seed: 0,
+    };
+    let adaptive = AdaptiveConfig {
+        tolerance: 0.15,
+        batch: 15,
+        max_samples: 60,
+        ..AdaptiveConfig::default()
+    };
+    let explain = |threads: usize| {
+        let ex = Explainer::new(&alg).with_config(ExecConfig::new().with_threads(threads));
+        let masked_values = ex
+            .explain_cells_masked(&dcs, &dirty, cell, MaskMode::Null, masked)
+            .unwrap()
+            .values;
+        let (anytime, finished) = ex
+            .explain_cells_masked_anytime(&dcs, &dirty, cell, MaskMode::Null, masked, 64, |_| {
+                AnytimeControl::Continue
+            })
+            .unwrap();
+        assert!(finished);
+        let sampled_values = ex
+            .explain_cells_sampled(&dcs, &dirty, cell, sampled)
+            .unwrap()
+            .values;
+        let (adaptive_out, converged) = ex
+            .explain_cells_adaptive(&dcs, &dirty, cell, adaptive)
+            .unwrap();
+        (
+            masked_values,
+            anytime.values,
+            sampled_values,
+            adaptive_out.values,
+            converged,
+        )
+    };
+    let one = explain(1);
+    assert_eq!(one.0, one.1, "the anytime final equals the batch answer");
+    for threads in thread_counts(&SWEEP) {
+        let got = explain(threads);
+        assert_eq!(one.0, got.0, "masked walk, threads = {threads}");
+        assert_eq!(one.1, got.1, "anytime final, threads = {threads}");
+        assert_eq!(one.2, got.2, "replacement sampling, threads = {threads}");
+        assert_eq!(one.3, got.3, "adaptive, threads = {threads}");
+        assert_eq!(one.4, got.4, "adaptive convergence, threads = {threads}");
     }
 }
 
