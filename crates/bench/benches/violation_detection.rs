@@ -1,14 +1,14 @@
-//! Ablation A2: hash-partitioned vs nested-loop violation detection on
-//! standings tables of growing size. The indexed path should win by a
-//! growing factor (quadratic vs near-linear for selective join keys).
-//! The thread-scaling group measures the parallel row-pair scan behind
+//! Ablation A2: the hash-partitioned scan vs the nested-loop reference on
+//! standings tables of growing size. The scan should win by a growing
+//! factor (quadratic vs near-linear for selective join keys). The
+//! thread-scaling group measures the same scan behind
 //! `trex violations --threads` / `trex repair --threads`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use trex_bench::standings_workload;
 use trex_constraints::{
-    find_all_violations_par, find_violations, find_violations_indexed, DenialConstraint,
+    find_all_violations_par, find_violations, find_violations_par, DenialConstraint,
 };
 use trex_table::Table;
 
@@ -42,7 +42,7 @@ fn bench_detection(c: &mut Criterion) {
             |b, t| {
                 b.iter(|| {
                     dcs.iter()
-                        .map(|dc| find_violations_indexed(black_box(dc), black_box(t)).len())
+                        .map(|dc| find_violations_par(black_box(dc), black_box(t), 1).len())
                         .sum::<usize>()
                 })
             },

@@ -92,19 +92,15 @@ impl Args {
     }
 
     /// Parse the shared execution flags — `--threads`, `--oracle-cap`,
-    /// `--oracle-batch`, `--seed`, `--prune-redundant`, and the ignored
-    /// `--schedule` — into one [`ExecConfig`].
+    /// `--oracle-batch`, and `--seed` — into one [`ExecConfig`].
     ///
     /// This is the single validation path for every subcommand that takes
     /// execution knobs: `--threads` absent or `0` resolves to the available
     /// parallelism (absurd counts are rejected with one error message
-    /// everywhere), `--schedule` still accepts `auto | player | budget |
-    /// steal` but is ignored, `--oracle-cap` bounds the repair-oracle memo cache (`0`
+    /// everywhere), `--oracle-cap` bounds the repair-oracle memo cache (`0`
     /// disables caching), `--oracle-batch` caps how many cache-missing
     /// coalition queries each oracle dispatch carries (must be ≥ 1;
-    /// identical output at any cap), `--seed` feeds the sampling seed, and
-    /// the boolean `--prune-redundant` skips violation scans of
-    /// statically-unviolable DCs (identical output, less work).
+    /// identical output at any cap), and `--seed` feeds the sampling seed.
     /// The knob names, validation rules, and error wording all live in
     /// [`trex_shapley::exec_config_from_knobs`], which the `trex-server`
     /// request parser calls too — a bad `?threads=999999` over HTTP reads
@@ -181,7 +177,6 @@ mod tests {
         assert_eq!(cfg.oracle_cap(), None);
         assert_eq!(cfg.oracle_batch(), None);
         assert_eq!(cfg.seed(), None);
-        assert!(!cfg.prune_redundant());
         // Explicit 0 also means "available parallelism".
         let b = Args::parse(["explain", "--threads", "0"]).unwrap();
         assert!(b.exec_config().unwrap().threads() >= 1);
@@ -193,15 +188,12 @@ mod tests {
             "explain",
             "--threads",
             "4",
-            "--schedule",
-            "steal",
             "--oracle-cap",
             "4096",
             "--oracle-batch",
             "64",
             "--seed",
             "7",
-            "--prune-redundant",
         ])
         .unwrap();
         let cfg = a.exec_config().unwrap();
@@ -209,13 +201,18 @@ mod tests {
         assert_eq!(cfg.oracle_cap(), Some(4096));
         assert_eq!(cfg.oracle_batch(), Some(64));
         assert_eq!(cfg.seed(), Some(7));
-        assert!(cfg.prune_redundant());
-        // --schedule is parsed but ignored: every policy yields the config
-        // without it.
-        let plain = Args::parse(["explain", "--threads", "4"]).unwrap();
-        for value in ["auto", "player", "budget", "steal"] {
-            let a = Args::parse(["explain", "--threads", "4", "--schedule", value]).unwrap();
-            assert_eq!(a.exec_config(), plain.exec_config(), "{value}");
+        assert!(a.reject_unknown().is_ok());
+    }
+
+    #[test]
+    fn retired_exec_flags_are_unknown() {
+        // Pruning is always on and sampling has one schedule, so neither
+        // flag selects anything: both are typos like any other.
+        for flag in ["--prune-redundant", "--schedule"] {
+            let a = Args::parse(["violations", flag, "steal"]).unwrap();
+            assert!(a.exec_config().is_ok(), "{flag}");
+            let err = a.reject_unknown().unwrap_err().to_string();
+            assert_eq!(err, format!("unknown flag {flag}"));
         }
     }
 
@@ -229,7 +226,6 @@ mod tests {
         assert!(err.contains("1024"), "{err}");
         for bad in [
             vec!["x", "--threads", "many"],
-            vec!["x", "--schedule", "nope"],
             vec!["x", "--oracle-cap", "lots"],
             vec!["x", "--oracle-batch", "heaps"],
             vec!["x", "--seed", "entropy"],

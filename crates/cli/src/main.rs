@@ -60,12 +60,10 @@ EXEC FLAGS:
   explain's cell sampling on N workers; for violations and repair it
   splits the row-pair violation scan. Output is identical at any thread
   count, so this is a wall-time knob only. --seed N (default 0) seeds
-  explain's sampling. --schedule POLICY is still accepted (auto | player |
-  budget | steal) but ignored, with a warning; it will be removed.
-  --prune-redundant skips the violation scans of constraints the static
-  analyzer proves can never be violated (run trex lint to see which);
-  witness output is identical with or without it — only wasted work is
-  skipped.
+  explain's sampling. Violation scans always skip the constraints the
+  static analyzer proves can never be violated (run trex lint to see
+  which); such a constraint has no witnesses, so skipping it changes
+  nothing but the work done.
 
 LINT:
   trex lint runs the static analyzer over a constraint program: schema
@@ -211,20 +209,6 @@ fn warn_unbatchable(cfg: &ExecConfig) {
     }
 }
 
-/// The shared exec flags ([`Args::exec_config`]), warning once on stderr
-/// when the retired `--schedule` flag is given: it is still parsed, so
-/// existing command lines keep working, but nothing reads it.
-fn exec_config(args: &Args) -> Result<ExecConfig, ArgError> {
-    let cfg = args.exec_config()?;
-    if args.has("schedule") {
-        eprintln!(
-            "warning: --schedule is ignored: sampling output is the same at every \
-             thread count, so there is no schedule to pick"
-        );
-    }
-    Ok(cfg)
-}
-
 /// Parse a cell reference like `t5.Country` or `5.Country` (1-based row).
 fn parse_cell(table: &Table, spec: &str) -> Result<CellRef, ArgError> {
     let (row_part, attr_part) = spec
@@ -249,16 +233,12 @@ fn parse_cell(table: &Table, spec: &str) -> Result<CellRef, ArgError> {
 
 fn cmd_violations(args: &Args) -> Result<(), ArgError> {
     let (table, dcs) = load_inputs(args)?;
-    let cfg = exec_config(args)?;
+    let cfg = args.exec_config()?;
     args.reject_unknown()?;
     let resolved: Result<Vec<_>, _> = dcs.iter().map(|d| d.resolved(table.schema())).collect();
     let resolved = resolved.map_err(|e| ArgError(e.to_string()))?;
     println!("{}", render_input_screen(&table, &dcs));
-    let violations = if cfg.prune_redundant() {
-        trex_constraints::find_all_violations_par_pruned(&resolved, &table, cfg.threads())
-    } else {
-        find_all_violations_par(&resolved, &table, cfg.threads())
-    };
+    let violations = find_all_violations_par(&resolved, &table, cfg.threads());
     if violations.is_empty() {
         println!("table is clean: no violations.");
         return Ok(());
@@ -272,7 +252,7 @@ fn cmd_violations(args: &Args) -> Result<(), ArgError> {
 
 fn cmd_repair(args: &Args) -> Result<(), ArgError> {
     let (table, dcs) = load_inputs(args)?;
-    let cfg = exec_config(args)?;
+    let cfg = args.exec_config()?;
     let engine = load_engine(args, &cfg)?;
     args.reject_unknown()?;
     let result = engine.repair(&dcs, &table);
@@ -283,7 +263,7 @@ fn cmd_repair(args: &Args) -> Result<(), ArgError> {
 
 fn cmd_explain(args: &Args) -> Result<(), ArgError> {
     let (table, dcs) = load_inputs(args)?;
-    let cfg = exec_config(args)?;
+    let cfg = args.exec_config()?;
     warn_unbatchable(&cfg);
     let engine = load_engine(args, &cfg)?;
     let cell_spec = args.require("cell")?.to_string();
@@ -384,7 +364,7 @@ fn cmd_explain(args: &Args) -> Result<(), ArgError> {
 /// HTTP/JSON requests over a shared long-lived session until interrupted.
 fn cmd_serve(args: &Args) -> Result<(), ArgError> {
     let (table, dcs) = load_inputs(args)?;
-    let cfg = exec_config(args)?;
+    let cfg = args.exec_config()?;
     warn_unbatchable(&cfg);
     let engine = load_engine(args, &cfg)?;
     let addr = args.get("addr").unwrap_or("127.0.0.1:7878").to_string();
@@ -413,9 +393,9 @@ fn cmd_serve(args: &Args) -> Result<(), ArgError> {
 fn cmd_lint(args: &Args) -> Result<ExitCode, ArgError> {
     let (table, dcs) = load_inputs(args)?;
     // Lint shares the exec-flag group with the scan commands so pipelines
-    // can pass one flag set everywhere; only --prune-redundant affects its
-    // report (the plan marks what a pruned scan would skip).
-    let _cfg = exec_config(args)?;
+    // can pass one flag set everywhere; none of the knobs changes its
+    // report.
+    let _cfg = args.exec_config()?;
     let json = args.has("json");
     args.reject_unknown()?;
     let analysis = trex_constraints::analyze_with_table(&dcs, &table);
@@ -690,7 +670,9 @@ mod tests {
             assert!(err.contains("999999"), "{command}: {err}");
             assert!(err.contains("1024"), "{command}: {err}");
             let e = Args::parse([command, "--schedule", "nope"]).unwrap();
-            assert!(e.exec_config().is_err(), "{command}");
+            assert!(e.exec_config().is_ok(), "{command}");
+            let err = e.reject_unknown().unwrap_err().to_string();
+            assert_eq!(err, "unknown flag --schedule", "{command}");
             let f = Args::parse([command, "--oracle-batch", "0"]).unwrap();
             let err = f.exec_config().unwrap_err().to_string();
             assert!(err.contains("--oracle-batch"), "{command}: {err}");

@@ -42,14 +42,13 @@
 //! Subsumption is advisory (warn-only): dropping a subsumed DC would drop
 //! the witnesses carrying its own name, and the `=`⇒`<=` weakening has a
 //! labeled-null edge (two cells with the same null label are `=` but not
-//! `<=`). The scan pruning behind `ExecConfig::prune_redundant` therefore
-//! skips only [`statically_unviolable`] DCs, whose witness lists are
-//! provably empty — output stays byte-identical.
+//! `<=`). The violation scan (`find_all_violations_par`) therefore always
+//! skips [`statically_unviolable`] DCs, and only those: their witness lists
+//! are provably empty, so the output is the same as scanning them.
 
 use crate::ast::{CmpOp, DenialConstraint, Operand, Predicate, TupleVar};
 use crate::diagnostics::{codes, json_str, Diagnostic, Severity};
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use trex_table::{DType, EncodedTable, Schema, Table, Value};
 
 // ---------------------------------------------------------------------------
@@ -112,28 +111,29 @@ impl TypeClass {
 /// An operand in canonical form: attribute references by `(var, name)`,
 /// constants by value. Ordered so every unordered operand pair has one
 /// canonical orientation (attributes sort before constants).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-enum NormOperand {
-    Attr(u8, String),
-    Const(Value),
+/// Borrows from the predicate, so normalizing allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+enum NormOperand<'p> {
+    Attr(u8, &'p str),
+    Const(&'p Value),
 }
 
-fn norm_operand(o: &Operand) -> NormOperand {
+fn norm_operand(o: &Operand) -> NormOperand<'_> {
     match o {
         Operand::Attr { var, name, .. } => NormOperand::Attr(
             match var {
                 TupleVar::T1 => 0,
                 TupleVar::T2 => 1,
             },
-            name.clone(),
+            name,
         ),
-        Operand::Const(v) => NormOperand::Const(v.clone()),
+        Operand::Const(v) => NormOperand::Const(v),
     }
 }
 
 /// A predicate in canonical orientation: operands sorted, operator flipped to
 /// match. `t2.A > t1.A` and `t1.A < t2.A` normalize identically.
-fn normalize(p: &Predicate) -> (NormOperand, CmpOp, NormOperand) {
+fn normalize(p: &Predicate) -> (NormOperand<'_>, CmpOp, NormOperand<'_>) {
     let l = norm_operand(&p.left);
     let r = norm_operand(&p.right);
     if l <= r {
@@ -249,54 +249,55 @@ pub fn statically_unviolable(dc: &DenialConstraint) -> Option<String> {
     // normalized (lhs, rhs); an empty intersection is unsatisfiable even
     // under labeled nulls (same-label `=` and cross-label `!=` never rescue
     // a pair of operators with disjoint masks).
-    let mut masks: HashMap<(NormOperand, NormOperand), (u8, String)> = HashMap::new();
+    //
+    // A DC has a handful of predicates, so both passes keep their state in
+    // a plain `Vec` searched linearly — cheaper than hashing, which matters
+    // because the violation scan runs this check before every scan.
+    let mut masks: Vec<(NormOperand, NormOperand, u8, &Predicate)> = Vec::new();
     for p in &dc.predicates {
         let (l, op, r) = normalize(p);
-        let entry = masks
-            .entry((l, r))
-            .or_insert((REL_L | REL_E | REL_G, p.to_string()));
-        entry.0 &= rel_mask(op);
-        if entry.0 == 0 {
+        let i = match masks.iter().position(|m| m.0 == l && m.1 == r) {
+            Some(i) => i,
+            None => {
+                masks.push((l, r, REL_L | REL_E | REL_G, p));
+                masks.len() - 1
+            }
+        };
+        let entry = &mut masks[i];
+        entry.2 &= rel_mask(op);
+        if entry.2 == 0 {
             return Some(format!(
                 "contradictory predicates `{}` and `{p}` cannot both hold",
-                entry.1
+                entry.3
             ));
         }
-        entry.1 = p.to_string();
+        entry.3 = p;
     }
 
     // Pass 3: empty constant intervals per (var, attr). Normalize each
-    // attribute-vs-constant predicate to `attr op const` and test every pair
-    // for joint satisfiability. Non-concrete constants are skipped (plain
-    // nulls were already caught above; labeled-null constants have bespoke
-    // equality and get no interval reasoning).
-    type ConstPreds<'a> = Vec<(CmpOp, &'a Value, &'a Predicate)>;
-    let mut by_attr: HashMap<(u8, String), ConstPreds> = HashMap::new();
+    // attribute-vs-constant predicate to `attr op const` and test it
+    // against every earlier one on the same attribute for joint
+    // satisfiability. Non-concrete constants are skipped (plain nulls were
+    // already caught above; labeled-null constants have bespoke equality
+    // and get no interval reasoning).
+    let mut prior: Vec<(TupleVar, &str, CmpOp, &Value, &Predicate)> = Vec::new();
     for p in &dc.predicates {
         let (var, name, op, c) = match (&p.left, &p.right) {
-            (Operand::Attr { var, name, .. }, Operand::Const(c)) => (var, name, p.op, c),
-            (Operand::Const(c), Operand::Attr { var, name, .. }) => (var, name, p.op.flipped(), c),
+            (Operand::Attr { var, name, .. }, Operand::Const(c)) => (*var, name, p.op, c),
+            (Operand::Const(c), Operand::Attr { var, name, .. }) => (*var, name, p.op.flipped(), c),
             _ => continue,
         };
         if !c.is_concrete() {
             continue;
         }
-        let key = (
-            match var {
-                TupleVar::T1 => 0,
-                TupleVar::T2 => 1,
-            },
-            name.clone(),
-        );
-        let prior = by_attr.entry(key).or_default();
-        for (op0, c0, p0) in prior.iter() {
+        for (_, _, op0, c0, p0) in prior.iter().filter(|q| q.0 == var && q.1 == name) {
             if !const_pair_feasible(*op0, c0, op, c) {
                 return Some(format!(
                     "predicates `{p0}` and `{p}` leave no possible value for {var}.{name}"
                 ));
             }
         }
-        prior.push((op, c, p));
+        prior.push((var, name, op, c, p));
     }
 
     None

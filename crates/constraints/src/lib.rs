@@ -7,11 +7,11 @@
 //!   against a schema.
 //! * [`parser`] — textual syntax, `C1: !(t1.Team = t2.Team & t1.City !=
 //!   t2.City)`, with `Display` round-tripping.
-//! * [`eval`] — violation detection with full witnesses (which rows/cells).
-//! * [`index`] — hash-partitioned detection for equality-led DCs (ablation
-//!   A2 of DESIGN.md).
-//! * [`parallel`] — the same detection split over scoped worker threads;
-//!   output is identical to the serial scans at any thread count.
+//! * [`eval`] — violation semantics: [`Violation`] witnesses (which
+//!   rows/cells) and the nested-loop reference scan [`find_violations`].
+//! * [`scan`] — the violation scan every caller uses: equality-partitioned,
+//!   split over scoped worker threads with identical output at any thread
+//!   count, skipping statically unviolable DCs.
 //! * [`fd`] — the functional-dependency subset: FD ↔ DC conversion and
 //!   exact FD discovery.
 //! * [`gen`] — random DC generation for scaling benchmarks.
@@ -28,10 +28,9 @@ pub mod diagnostics;
 pub mod eval;
 pub mod fd;
 pub mod gen;
-pub mod index;
 pub mod mine;
-pub mod parallel;
 pub mod parser;
+pub mod scan;
 
 pub use analyze::{
     analyze, analyze_with_table, scan_cost_estimates, statically_unviolable, Analysis, DcPlan,
@@ -39,22 +38,12 @@ pub use analyze::{
 };
 pub use ast::{CmpOp, DenialConstraint, Operand, Predicate, ResolveError, Span, TupleVar};
 pub use diagnostics::{Diagnostic, Severity};
-pub use eval::{
-    find_all_violations, find_violations, is_clean, noisy_cells, violates_binding, violating_rows,
-    violation_counts, Violation,
-};
+pub use eval::{find_violations, violates_binding, Violation};
 pub use fd::{discover_fds, discover_fds_approx, fds_of, FunctionalDependency};
 pub use gen::{generate_dcs, DcGenConfig};
-pub use index::{
-    find_all_violations_indexed, find_all_violations_indexed_pruned, find_violations_indexed,
-    is_clean_indexed,
-};
 pub use mine::{mine_dcs, MineConfig};
-pub use parallel::{
-    find_all_violations_par, find_all_violations_par_pruned, find_violations_par, is_clean_par,
-    noisy_cells_par,
-};
 pub use parser::{parse_dc, parse_dc_named, parse_dcs, ParseError};
+pub use scan::{find_all_violations_par, find_violations_par, noisy_cells_par};
 
 // Property tests, gated behind the `proptest` feature to keep plain
 // `cargo test` fast. They compile against the offline shim in
@@ -115,12 +104,12 @@ mod proptests {
         }
 
         #[test]
-        fn indexed_equals_nested_loop(dc in arb_dc(), t in arb_table()) {
+        fn scan_equals_nested_loop(dc in arb_dc(), t in arb_table()) {
             let mut dc = dc;
             dc.resolve(t.schema()).unwrap();
             let mut a: Vec<(usize, Option<usize>)> = find_violations(&dc, &t)
                 .into_iter().map(|v| (v.row1, v.row2)).collect();
-            let mut b: Vec<(usize, Option<usize>)> = find_violations_indexed(&dc, &t)
+            let mut b: Vec<(usize, Option<usize>)> = find_violations_par(&dc, &t, 1)
                 .into_iter().map(|v| (v.row1, v.row2)).collect();
             a.sort();
             b.sort();
@@ -147,14 +136,14 @@ mod proptests {
             let mut dc = dc;
             dc.resolve(t.schema()).unwrap();
             let masked = t.masked_keep(&vec![false; t.num_cells()]);
-            prop_assert!(is_clean(&[dc], &masked));
+            prop_assert!(find_violations(&dc, &masked).is_empty());
         }
 
         #[test]
         fn unviolable_verdicts_mean_zero_witnesses(dc in arb_dc(), t in arb_table()) {
-            // The soundness contract pruning rests on: a DC the analyzer
-            // proves statically unviolable has an empty brute-force witness
-            // list on every generated table.
+            // The soundness contract the scan's pruning rests on: a DC the
+            // analyzer proves statically unviolable has an empty brute-force
+            // witness list on every generated table.
             if statically_unviolable(&dc).is_some() {
                 let mut dc = dc;
                 dc.resolve(t.schema()).unwrap();
@@ -163,7 +152,7 @@ mod proptests {
         }
 
         #[test]
-        fn pruned_scan_is_byte_identical_at_any_thread_count(
+        fn pruned_scan_concatenates_the_per_dc_scans_at_any_thread_count(
             dcs in proptest::collection::vec(arb_dc(), 1..4),
             t in arb_table(),
         ) {
@@ -176,12 +165,14 @@ mod proptests {
                     dc
                 })
                 .collect();
-            let serial = find_all_violations_indexed(&dcs, &t);
-            prop_assert_eq!(&serial, &find_all_violations_indexed_pruned(&dcs, &t));
+            let serial: Vec<Violation> = dcs
+                .iter()
+                .flat_map(|dc| find_violations_par(dc, &t, 1))
+                .collect();
             for threads in [1, 2, 4, 8] {
                 prop_assert_eq!(
                     &serial,
-                    &find_all_violations_par_pruned(&dcs, &t, threads),
+                    &find_all_violations_par(&dcs, &t, threads),
                     "threads = {}", threads
                 );
             }

@@ -174,20 +174,18 @@ impl Session {
     }
 
     /// [`Session::violations`] under a per-request execution configuration
-    /// (thread count and redundant-scan pruning; identical output at any
-    /// setting).
+    /// (its thread count; identical output at any setting).
     pub fn violations_for(&self, exec: &ExecConfig) -> Result<Vec<Violation>, ResolveError> {
         let resolved: Result<Vec<_>, _> = self
             .dcs
             .iter()
             .map(|d| d.resolved(self.table.schema()))
             .collect();
-        let resolved = resolved?;
-        Ok(if exec.prune_redundant() {
-            trex_constraints::find_all_violations_par_pruned(&resolved, &self.table, exec.threads())
-        } else {
-            trex_constraints::find_all_violations_par(&resolved, &self.table, exec.threads())
-        })
+        Ok(trex_constraints::find_all_violations_par(
+            &resolved?,
+            &self.table,
+            exec.threads(),
+        ))
     }
 
     /// Pre-flight static analysis of the session's constraint program
@@ -354,39 +352,14 @@ impl Session {
         Some(self.dcs.remove(idx))
     }
 
-    /// Suggest constraints mined from the current table (FastDC-style, see
-    /// `trex_constraints::mine_dcs`) that are **not already implied** by
-    /// the session's constraint set — the natural "what am I missing?"
-    /// companion to the §4 debugging loop. Suggestions are named
-    /// `S1, S2, …` and capped at `limit`.
-    pub fn suggest_constraints(&self, limit: usize) -> Vec<DenialConstraint> {
-        let mined =
-            trex_constraints::mine_dcs(&self.table, &trex_constraints::MineConfig::default());
-        let mut out = Vec::new();
-        // Compare by rendered predicate text: resolution state (attr ids
-        // filled in or not) must not affect duplicate detection.
-        let rendered = |dc: &DenialConstraint| {
-            let mut preds: Vec<String> = dc.predicates.iter().map(|p| p.to_string()).collect();
-            preds.sort();
-            preds
-        };
-        let have: Vec<Vec<String>> = self.dcs.iter().map(&rendered).collect();
-        for dc in mined {
-            let duplicate = have.contains(&rendered(&dc));
-            if !duplicate {
-                let mut named = dc;
-                named.name = format!("S{}", out.len() + 1);
-                out.push(named);
-                if out.len() == limit {
-                    break;
-                }
-            }
-        }
-        out
-    }
-
     /// User edit: add (or replace, by name) a constraint.
-    pub fn upsert_constraint(&mut self, dc: DenialConstraint) {
+    ///
+    /// # Errors
+    /// A constraint that does not resolve against the session table's
+    /// schema (an unknown attribute) is rejected and the session is left
+    /// untouched — the repair engines assume resolvable constraints.
+    pub fn upsert_constraint(&mut self, dc: DenialConstraint) -> Result<(), ResolveError> {
+        dc.resolved(self.table.schema())?;
         self.history.push(HistoryEntry {
             action: format!("upsert constraint {}", dc.name),
             cells_repaired: 0,
@@ -396,6 +369,7 @@ impl Session {
             Some(slot) => *slot = dc,
             None => self.dcs.push(dc),
         }
+        Ok(())
     }
 }
 
@@ -460,7 +434,7 @@ mod tests {
             "C3",
         )
         .unwrap();
-        s.upsert_constraint(replacement.clone());
+        s.upsert_constraint(replacement.clone()).unwrap();
         assert_eq!(s.constraints().len(), 4);
         assert_eq!(
             s.constraints()
@@ -472,8 +446,25 @@ mod tests {
         );
         // And adding a brand-new one grows the set.
         let extra = trex_constraints::parse_dc_named("C5: !(t1.Place < 1)", "C5").unwrap();
-        s.upsert_constraint(extra);
+        s.upsert_constraint(extra).unwrap();
         assert_eq!(s.constraints().len(), 5);
+    }
+
+    #[test]
+    fn upserting_an_unresolvable_constraint_leaves_the_session_untouched() {
+        let mut s = session();
+        s.explain_constraints(laliga::cell_of_interest(s.table()))
+            .unwrap();
+        let cached = s.oracle_cache().stats();
+        let bad = trex_constraints::parse_dc_named("!(t1.Nope = t2.Nope)", "C9").unwrap();
+        let err = s.upsert_constraint(bad).unwrap_err();
+        assert!(err.to_string().contains("Nope"), "{err}");
+        assert_eq!(s.constraints().len(), 4);
+        assert!(s.history().is_empty());
+        assert!(!s.oracle_cache().is_empty(), "no flush on a rejected edit");
+        assert_eq!(s.oracle_cache().stats(), cached);
+        // The next repair runs on the untouched inputs.
+        assert_eq!(s.repair().changes.len(), 2);
     }
 
     #[test]
@@ -489,34 +480,6 @@ mod tests {
         assert_eq!(actions[1], "remove constraint C4");
         assert_eq!(actions[2], "repair");
         assert_eq!(s.history()[2].cells_repaired, 1);
-    }
-
-    #[test]
-    fn suggestions_exclude_constraints_already_in_the_session() {
-        let s = session();
-        let suggestions = s.suggest_constraints(50);
-        assert!(!suggestions.is_empty());
-        // None of the suggestions equals C1..C4 (up to predicate text).
-        let have: Vec<String> = s
-            .constraints()
-            .iter()
-            .map(|d| {
-                let mut p: Vec<String> = d.predicates.iter().map(|x| x.to_string()).collect();
-                p.sort();
-                p.join(" & ")
-            })
-            .collect();
-        for sug in &suggestions {
-            let mut p: Vec<String> = sug.predicates.iter().map(|x| x.to_string()).collect();
-            p.sort();
-            assert!(
-                !have.contains(&p.join(" & ")),
-                "{sug} duplicates a session DC"
-            );
-            assert!(sug.name.starts_with('S'));
-        }
-        // Cap respected.
-        assert!(s.suggest_constraints(2).len() <= 2);
     }
 
     #[test]
@@ -642,8 +605,8 @@ mod tests {
             a.diagnostics
         );
         assert_eq!(a.plans.len(), 4);
-        // Inject a dead constraint: flagged, and with pruning enabled the
-        // violation list is unchanged.
+        // Inject a dead constraint: flagged, and the violation list is
+        // unchanged at any thread count.
         let before = s.violations().unwrap();
         s.upsert_constraint(
             trex_constraints::parse_dc_named(
@@ -651,20 +614,20 @@ mod tests {
                 "Dead",
             )
             .unwrap(),
-        );
+        )
+        .unwrap();
         let a = s.analyze();
         assert!(a
             .verdicts
             .iter()
             .any(|v| v.name == "Dead" && v.unviolable.is_some()));
-        let unpruned = s.violations().unwrap();
-        assert_eq!(unpruned, before, "a dead DC contributes no witnesses");
-        let s = s.with_config(ExecConfig::new().with_prune_redundant(true).with_threads(2));
         assert_eq!(
             s.violations().unwrap(),
             before,
-            "pruned scan is byte-identical"
+            "a dead DC contributes no witnesses"
         );
+        let s = s.with_config(ExecConfig::new().with_threads(2));
+        assert_eq!(s.violations().unwrap(), before);
     }
 
     #[test]
@@ -731,7 +694,8 @@ mod tests {
         assert!(s.oracle_cache().is_empty(), "set_cell must flush");
         // ...and a constraint upsert.
         let _ = s.explain_constraints(cell);
-        s.upsert_constraint(trex_constraints::parse_dc_named("C9: !(t1.Place < 1)", "C9").unwrap());
+        s.upsert_constraint(trex_constraints::parse_dc_named("C9: !(t1.Place < 1)", "C9").unwrap())
+            .unwrap();
         assert!(s.oracle_cache().is_empty(), "upsert must flush");
     }
 

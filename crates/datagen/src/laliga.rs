@@ -167,7 +167,7 @@ pub fn city_cell(table: &Table) -> CellRef {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trex_constraints::{find_violations, is_clean};
+    use trex_constraints::{find_all_violations_par, find_violations_par};
     use trex_repair::RepairAlgorithm;
 
     #[test]
@@ -202,7 +202,7 @@ mod tests {
             .iter()
             .map(|d| d.resolved(c.schema()).unwrap())
             .collect();
-        assert!(is_clean(&resolved, &c));
+        assert!(find_all_violations_par(&resolved, &c, 1).is_empty());
     }
 
     #[test]
@@ -226,7 +226,7 @@ mod tests {
         // Figure 1 assigns C4 Shapley value 0; it must not even fire.
         let t = dirty_table();
         let c4 = constraints()[3].resolved(t.schema()).unwrap();
-        assert!(find_violations(&c4, &t).is_empty());
+        assert!(find_violations_par(&c4, &t, 1).is_empty());
     }
 
     #[test]

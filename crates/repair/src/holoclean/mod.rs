@@ -7,7 +7,7 @@
 //! rebuild its pipeline from scratch in Rust:
 //!
 //! 1. **error detection** — cells implicated in DC violations are *noisy*
-//!    ([`trex_constraints::noisy_cells`]);
+//!    ([`trex_constraints::noisy_cells_par`]);
 //! 2. **domain generation** — pruned candidate sets via co-occurrence
 //!    statistics ([`domain`]);
 //! 3. **featurization** — co-occurrence, minimality, constraint and
@@ -157,7 +157,7 @@ impl RepairAlgorithm for HoloCleanStyle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trex_constraints::{is_clean, parse_dcs};
+    use trex_constraints::{find_all_violations_par, parse_dcs};
     use trex_table::{CellRef, TableBuilder, Value};
 
     fn dcs() -> Vec<DenialConstraint> {
@@ -191,7 +191,7 @@ mod tests {
             .iter()
             .map(|d| d.resolved(t.schema()).unwrap())
             .collect();
-        assert!(is_clean(&resolved, t));
+        assert!(find_all_violations_par(&resolved, t, 1).is_empty());
     }
 
     #[test]

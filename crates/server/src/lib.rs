@@ -11,14 +11,14 @@
 //! | POST   | `/repair`      | run the repair algorithm, return the change set  |
 //! | GET    | `/explain`     | constraint or cell Shapley explanation           |
 //! | POST   | `/cell`        | mutate a table cell (flushes the oracle cache)   |
-//! | POST   | `/constraint`  | add or replace a denial constraint               |
+//! | POST   | `/constraint`  | add or replace a DC (400 on unknown attributes)  |
 //! | DELETE | `/constraint`  | remove a denial constraint by name               |
 //!
 //! Every endpoint accepts the CLI's execution knobs (`threads`,
-//! `oracle-cap`, `oracle-batch`, `seed`, `prune-redundant`) as query
-//! parameters, validated through the same
-//! `trex_shapley::exec_config_from_knobs` path as the CLI flags. The
-//! retired `schedule` knob is still accepted and validated, then ignored.
+//! `oracle-cap`, `oracle-batch`, `seed`) as query parameters, validated
+//! through the same `trex_shapley::exec_config_from_knobs` path as the CLI
+//! flags. Any other parameter an endpoint does not read is rejected with
+//! 400, like an unknown CLI flag.
 //!
 //! The headline is the **anytime** mode of `GET /explain?kind=cells`:
 //! adding `budget_ms=N` (or `stream=1`) switches the response to

@@ -100,14 +100,7 @@ fn dispatch(state: &ServerState, req: &Request, stream: &mut TcpStream) -> Resul
 // --- parameter plumbing -------------------------------------------------
 
 /// Names [`request_exec`] consumes, shared by every endpoint allowlist.
-const EXEC_PARAMS: [&str; 6] = [
-    "threads",
-    "schedule",
-    "oracle-cap",
-    "oracle-batch",
-    "seed",
-    "prune-redundant",
-];
+const EXEC_PARAMS: [&str; 4] = ["threads", "oracle-cap", "oracle-batch", "seed"];
 
 /// Reject query parameters no handler reads — a typoed `?shedule=` must
 /// error, not silently fall back to defaults (mirrors the CLI's
@@ -285,7 +278,9 @@ fn upsert_constraint(state: &ServerState, req: &Request, stream: &mut TcpStream)
         let dc = trex_constraints::parse_dc_named(text, name)
             .map_err(|e| BadRequest::new(e.to_string()))?;
         let name = dc.name.clone();
-        session.upsert_constraint(dc);
+        session
+            .upsert_constraint(dc)
+            .map_err(|e| BadRequest::new(e.to_string()))?;
         Ok(format!(
             "{{\"name\":{},\"constraints\":{}}}",
             json::string(&name),

@@ -111,7 +111,7 @@ fn constraint_explanation_matches_direct_session() {
 #[test]
 fn batch_cell_explanation_is_valid_and_deterministic() {
     let server = start_server();
-    let target = "/explain?cell=t5.Country&samples=200&seed=7&threads=2&schedule=player";
+    let target = "/explain?cell=t5.Country&samples=200&seed=7&threads=2";
     let (status, first) = get(&server, target);
     assert_eq!(status, 200);
     json::validate(&first).expect("cell explanation is valid JSON");
@@ -119,13 +119,8 @@ fn batch_cell_explanation_is_valid_and_deterministic() {
     // Same knobs, second request: byte-identical (and a cache hit inside).
     let (_, second) = get(&server, target);
     assert_eq!(first, second);
-    // The retired schedule knob is accepted and ignored, and the answer is
-    // the same at any thread count.
-    for knobs in [
-        "threads=2",
-        "threads=1&schedule=steal",
-        "threads=4&schedule=budget",
-    ] {
+    // The answer is the same at any thread count.
+    for knobs in ["threads=1", "threads=3", "threads=4"] {
         let (status, body) = get(
             &server,
             &format!("/explain?cell=t5.Country&samples=200&seed=7&{knobs}"),
@@ -138,7 +133,7 @@ fn batch_cell_explanation_is_valid_and_deterministic() {
 #[test]
 fn anytime_stream_lines_are_valid_and_final_matches_batch() {
     let server = start_server();
-    let knobs = "cell=t5.Country&samples=200&seed=7&threads=2&schedule=player";
+    let knobs = "cell=t5.Country&samples=200&seed=7&threads=2";
     let (status, head, stream_body) = request(
         &server,
         "GET",
@@ -274,6 +269,28 @@ fn constraint_upsert_roundtrip() {
 }
 
 #[test]
+fn unresolvable_constraint_upsert_is_rejected_and_the_server_keeps_working() {
+    let server = start_server();
+    let (status, _, body) = request(
+        &server,
+        "POST",
+        "/constraint?name=C9&dc=!(t1.Nope%20=%20t2.Nope)",
+    );
+    assert_eq!(status, 400, "{body}");
+    assert!(
+        body.contains("constraint C9: unknown attribute \\\"Nope\\\""),
+        "{body}"
+    );
+    // The session is untouched: the repair still runs over the four
+    // fixture constraints, and the worker that answered is alive.
+    let (status, _, body) = request(&server, "POST", "/repair");
+    assert_eq!(status, 200, "{body}");
+    assert!(body.starts_with("{\"count\":2,"), "{body}");
+    let (status, body) = get(&server, "/health");
+    assert_eq!(status, 200, "{body}");
+}
+
+#[test]
 fn bad_requests_get_pinned_errors() {
     let server = start_server();
 
@@ -289,9 +306,16 @@ fn bad_requests_get_pinned_errors() {
     assert!(body.contains("unknown parameter \\\"shedule\\\""), "{body}");
 
     // Exec knobs validate through the shared CLI path.
-    let (status, body) = get(&server, "/explain?cell=t5.Country&schedule=bogus");
+    let (status, body) = get(&server, "/explain?cell=t5.Country&threads=many");
     assert_eq!(status, 400);
-    assert!(body.contains("schedule"), "{body}");
+    assert!(body.contains("--threads: cannot parse"), "{body}");
+
+    // The retired knobs select nothing, so they are unknown like any typo.
+    for knob in ["schedule=player", "prune-redundant=1"] {
+        let (status, body) = get(&server, &format!("/violations?{knob}"));
+        assert_eq!(status, 400, "{knob}");
+        assert!(body.contains("unknown parameter"), "{knob}: {body}");
+    }
 
     // Missing and malformed cells.
     let (status, body) = get(&server, "/explain");
@@ -318,9 +342,7 @@ fn bad_requests_get_pinned_errors() {
 fn concurrent_clients_share_one_session() {
     let server = start_server();
     let url: Vec<String> = (0..3)
-        .map(|seed| {
-            format!("/explain?cell=t5.Country&samples=120&seed={seed}&threads=2&schedule=player")
-        })
+        .map(|seed| format!("/explain?cell=t5.Country&samples=120&seed={seed}&threads=2"))
         .collect();
     // Solo answers first, then the same requests hammered concurrently.
     let solo: Vec<String> = url.iter().map(|u| get(&server, u).1).collect();

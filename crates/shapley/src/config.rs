@@ -34,7 +34,6 @@ pub struct ExecConfig {
     oracle_cap: Option<usize>,
     oracle_batch: Option<usize>,
     seed: Option<u64>,
-    prune_redundant: bool,
 }
 
 impl Default for ExecConfig {
@@ -44,7 +43,6 @@ impl Default for ExecConfig {
             oracle_cap: None,
             oracle_batch: None,
             seed: None,
-            prune_redundant: false,
         }
     }
 }
@@ -100,15 +98,6 @@ impl ExecConfig {
         self
     }
 
-    /// Skip violation scans of DCs the static analyzer proves can never be
-    /// violated (default: off). Pruned DCs have provably empty witness
-    /// lists, so enabling this never changes scan output — only the wasted
-    /// work is skipped.
-    pub fn with_prune_redundant(mut self, prune: bool) -> Self {
-        self.prune_redundant = prune;
-        self
-    }
-
     /// Worker thread count (≥ 1).
     pub fn threads(&self) -> usize {
         self.threads
@@ -134,11 +123,6 @@ impl ExecConfig {
         self.seed
     }
 
-    /// Whether statically-unviolable DCs are skipped during scans.
-    pub fn prune_redundant(&self) -> bool {
-        self.prune_redundant
-    }
-
     /// The one warning/rejection message for an oracle batch size configured
     /// where no oracle backend (`trex-repair`'s `OracleBackend`) is attached.
     ///
@@ -158,17 +142,14 @@ impl ExecConfig {
 /// query parameters.
 ///
 /// `get(name)` looks up the raw value of knob `name` (`None` when absent);
-/// recognized names are `threads`, `schedule`, `oracle-cap`, `oracle-batch`,
-/// `seed`, and `prune-redundant` (presence alone enables pruning, matching
-/// the CLI's boolean-flag behavior). Validation and error wording are the
-/// contract here: `threads` absent or `0` resolves to the available
-/// parallelism via [`crate::parallel::resolve_threads`] (absurd counts keep
-/// the offending value and the cap in the message), `schedule` accepts
-/// `auto | player | budget | steal` and is then ignored (the parallel
-/// drivers have one schedule; the knob is still parsed so existing command
-/// lines and URLs keep working), `oracle-batch` must be ≥ 1. Callers
-/// surface the returned message verbatim, so a bad `?threads=999999` on the
-/// server reads exactly like a bad `--threads 999999` on the CLI.
+/// recognized names are `threads`, `oracle-cap`, `oracle-batch`, and
+/// `seed` — callers reject any other name as unknown. Validation and error
+/// wording are the contract here: `threads` absent or `0` resolves to the
+/// available parallelism via [`crate::parallel::resolve_threads`] (absurd
+/// counts keep the offending value and the cap in the message),
+/// `oracle-batch` must be ≥ 1. Callers surface the returned message
+/// verbatim, so a bad `?threads=999999` on the server reads exactly like a
+/// bad `--threads 999999` on the CLI.
 pub fn exec_config_from_knobs<'v>(
     get: impl Fn(&str) -> Option<&'v str>,
 ) -> Result<ExecConfig, String> {
@@ -180,14 +161,6 @@ pub fn exec_config_from_knobs<'v>(
     };
     let threads = crate::parallel::resolve_threads(requested).map_err(|e| e.to_string())?;
     let mut cfg = ExecConfig::new().with_threads(threads);
-    match get("schedule").unwrap_or("auto") {
-        "auto" | "player" | "budget" | "steal" => {}
-        other => {
-            return Err(format!(
-                "unknown schedule {other:?} (auto | player | budget | steal)"
-            ))
-        }
-    }
     if let Some(v) = get("oracle-cap") {
         let cap = v
             .parse::<usize>()
@@ -212,9 +185,6 @@ pub fn exec_config_from_knobs<'v>(
             .map_err(|_| format!("--seed: cannot parse {v:?}"))?;
         cfg = cfg.with_seed(seed);
     }
-    if get("prune-redundant").is_some() {
-        cfg = cfg.with_prune_redundant(true);
-    }
     Ok(cfg)
 }
 
@@ -230,7 +200,6 @@ mod tests {
         assert_eq!(cfg.oracle_cap(), None);
         assert_eq!(cfg.oracle_batch(), None);
         assert_eq!(cfg.seed(), None);
-        assert!(!cfg.prune_redundant());
         assert_eq!(cfg, ExecConfig::default());
     }
 
@@ -240,28 +209,25 @@ mod tests {
             .with_threads(8)
             .with_oracle_cap(0)
             .with_oracle_batch(32)
-            .with_seed(7)
-            .with_prune_redundant(true);
+            .with_seed(7);
         assert_eq!(cfg.threads(), 8);
         assert_eq!(cfg.oracle_cap(), Some(0));
         assert_eq!(cfg.oracle_batch(), Some(32));
         assert_eq!(cfg.seed(), Some(7));
-        assert!(cfg.prune_redundant());
     }
 
     #[test]
-    fn schedule_is_validated_then_ignored() {
-        let knobs = |schedule: &'static str| {
-            exec_config_from_knobs(move |name| (name == "schedule").then_some(schedule))
-        };
-        for name in ["auto", "player", "budget", "steal"] {
-            let cfg = knobs(name).unwrap();
-            assert_eq!(cfg.schedule(), None, "{name}");
-            assert_eq!(cfg, knobs("auto").unwrap(), "{name}");
-        }
+    fn knobs_read_only_the_four_exec_names() {
+        let asked = std::cell::RefCell::new(Vec::new());
+        let cfg = exec_config_from_knobs(|name| {
+            asked.borrow_mut().push(name.to_string());
+            (name == "threads").then_some("3")
+        })
+        .unwrap();
+        assert_eq!(cfg, ExecConfig::new().with_threads(3));
         assert_eq!(
-            knobs("nope").unwrap_err(),
-            "unknown schedule \"nope\" (auto | player | budget | steal)"
+            asked.into_inner(),
+            ["threads", "oracle-cap", "oracle-batch", "seed"]
         );
         let pinned = ExecConfig::new().with_schedule(Schedule::WorkStealing);
         assert_eq!(pinned, ExecConfig::new());

@@ -389,7 +389,7 @@ fn giant_equality_bucket_detection_is_serial_identical() {
             .into_iter()
             .map(|dc| dc.resolved(table.schema()).unwrap())
             .collect();
-    let serial = trex_constraints::find_all_violations_indexed(&dcs, &table);
+    let serial = trex_constraints::find_all_violations_par(&dcs, &table, 1);
     assert!(!serial.is_empty(), "the bucket must conflict");
     for threads in thread_counts(&[1, 2, 4, 8, 16]) {
         let par = trex_constraints::find_all_violations_par(&dcs, &table, threads);
