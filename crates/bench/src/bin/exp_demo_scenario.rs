@@ -5,7 +5,7 @@
 //!
 //! Run: `cargo run --release -p trex-bench --bin exp_demo_scenario`
 
-use trex::Session;
+use trex::{ExplainRequest, Players, Session};
 use trex_constraints::parse_dcs;
 use trex_datagen::{errors, soccer};
 use trex_repair::{score_repair, FixAction, Rule, RuleRepair};
@@ -75,7 +75,15 @@ fn main() {
             .map(|c| c.cell)
             .find(|c| c.attr == city_attr)
             .map(|bogus| {
-                let explanation = session.explain_constraints(bogus).unwrap();
+                let explanation = session
+                    .explain(
+                        &ExplainRequest {
+                            cell: bogus,
+                            players: Players::Constraints,
+                        },
+                        &session.config(),
+                    )
+                    .unwrap();
                 explanation.ranking.top().unwrap().label == "B"
             })
             .unwrap_or(false);

@@ -9,29 +9,49 @@
 //!
 //! Run: `cargo run --release -p trex-bench --bin exp_interaction`
 
-use trex::Explainer;
+use trex::{ConstraintGame, Explainer};
 use trex_datagen::laliga;
+use trex_shapley::{banzhaf_exact, shapley_exact, shapley_interaction_exact, Game};
 
-fn main() {
+/// The constraint game's attributions for the repair of t5[Country]:
+/// labels, Shapley values, Banzhaf values and the pairwise Shapley
+/// interaction matrix, all in constraint order.
+struct Attribution {
+    labels: Vec<String>,
+    shapley: Vec<f64>,
+    banzhaf: Vec<f64>,
+    interactions: Vec<Vec<f64>>,
+}
+
+fn attribution() -> Attribution {
     let dirty = laliga::dirty_table();
     let dcs = laliga::constraints();
     let alg = laliga::algorithm1();
-    let ex = Explainer::new(&alg);
     let cell = laliga::cell_of_interest(&dirty);
+    let target = Explainer::new(&alg)
+        .repair_target(&dcs, &dirty, cell)
+        .expect("t5[Country] is repaired");
+    let game = ConstraintGame::new(&alg, &dcs, &dirty, cell, target);
+    Attribution {
+        labels: (0..dcs.len()).map(|i| game.player_label(i)).collect(),
+        shapley: shapley_exact(&game).expect("four constraints"),
+        banzhaf: banzhaf_exact(&game).expect("four constraints"),
+        interactions: shapley_interaction_exact(&game).expect("four constraints"),
+    }
+}
 
-    let shapley = ex.explain_constraints(&dcs, &dirty, cell).unwrap();
-    let banzhaf = ex.constraint_banzhaf(&dcs, &dirty, cell).unwrap();
-    let (labels, m) = ex.constraint_interactions(&dcs, &dirty, cell).unwrap();
+fn main() {
+    let Attribution {
+        labels,
+        shapley,
+        banzhaf,
+        interactions: m,
+    } = attribution();
 
     println!("constraint attribution for the repair of t5[Country] → Spain\n");
     println!("{:<5} {:>10} {:>10}", "DC", "Shapley", "Banzhaf");
-    for l in &labels {
-        println!(
-            "{:<5} {:>10.4} {:>10.4}",
-            l,
-            shapley.ranking.get(l).unwrap().value,
-            banzhaf.get(l).unwrap().value,
-        );
+    for (i, l) in labels.iter().enumerate() {
+        println!("{:<5} {:>10.4} {:>10.4}", l, shapley[i], banzhaf[i]);
     }
 
     println!("\npairwise Shapley interaction indices (+ complements, − substitutes):\n");
@@ -59,4 +79,36 @@ fn main() {
         m[0][1], m[0][2]
     );
     assert!(m[0][1] > 0.0 && m[0][2] < 0.0 && m[0][3] == 0.0);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn constraint_interactions_show_c1_c2_complementarity() {
+        let Attribution {
+            labels,
+            interactions: m,
+            ..
+        } = attribution();
+        assert_eq!(labels, vec!["C1", "C2", "C3", "C4"]);
+        assert!(m[0][1] > 0.0, "C1×C2 complementary: {}", m[0][1]);
+        assert!(m[0][2] < 0.0, "C1×C3 substitutes: {}", m[0][2]);
+        assert_eq!(m[0][3], 0.0, "C4 is a dummy");
+        assert_eq!(m[0][1], m[1][0], "matrix symmetric");
+    }
+
+    #[test]
+    fn constraint_banzhaf_agrees_on_the_ordering() {
+        // Same ordering as Shapley: C3 ≻ C1 = C2 ≻ C4, with the known
+        // exact Banzhaf values (3/4, 1/4, 1/4, 0).
+        let Attribution {
+            shapley, banzhaf, ..
+        } = attribution();
+        for (value, want) in banzhaf.iter().zip([0.25, 0.25, 0.75, 0.0]) {
+            assert!((value - want).abs() < 1e-12, "{banzhaf:?}");
+        }
+        assert!(shapley[2] > shapley[0] && shapley[0] == shapley[1] && shapley[3] == 0.0);
+    }
 }

@@ -11,53 +11,25 @@
 //!
 //! Run: `cargo run --release -p trex-bench --bin exp_mask_semantics`
 
-use trex::{Explainer, MaskMode};
+use trex::{ExecConfig, ExplainRequest, Explainer, MaskMode, Players};
 use trex_datagen::laliga;
-use trex_shapley::SamplingConfig;
 
 fn main() {
     let dirty = laliga::dirty_table();
     let dcs = laliga::constraints();
     let alg = laliga::algorithm1();
-    let ex = Explainer::new(&alg);
+    let ex = Explainer::new(&alg).with_config(ExecConfig::new().with_seed(1));
     let cell = laliga::cell_of_interest(&dirty);
     let m = 3000;
+    let explain = |players| {
+        ex.explain(&dcs, &dirty, &ExplainRequest { cell, players })
+            .unwrap()
+    };
+    let masked = |mode| Players::MaskedCells { mode, walks: m };
 
-    let null = ex
-        .explain_cells_masked(
-            &dcs,
-            &dirty,
-            cell,
-            MaskMode::Null,
-            SamplingConfig {
-                samples: m,
-                seed: 1,
-            },
-        )
-        .unwrap();
-    let distinct = ex
-        .explain_cells_masked(
-            &dcs,
-            &dirty,
-            cell,
-            MaskMode::Distinct,
-            SamplingConfig {
-                samples: m,
-                seed: 1,
-            },
-        )
-        .unwrap();
-    let replacement = ex
-        .explain_cells_sampled(
-            &dcs,
-            &dirty,
-            cell,
-            SamplingConfig {
-                samples: m,
-                seed: 1,
-            },
-        )
-        .unwrap();
+    let null = explain(masked(MaskMode::Null));
+    let distinct = explain(masked(MaskMode::Distinct));
+    let replacement = explain(Players::ReplacedCells { samples: m });
 
     println!("cell Shapley values for the repair of t5[Country] (m = {m}):\n");
     println!(

@@ -14,7 +14,7 @@
 //!                   artifact next to bench_current.json)
 
 use std::time::{Duration, Instant};
-use trex::{ExecConfig, Explainer};
+use trex::{ExecConfig, ExplainRequest, Explainer, Players};
 use trex_bench::RandomBinaryGame;
 use trex_constraints::{
     find_all_violations_par, find_violations_par, generate_dcs, parse_dcs, statically_unviolable,
@@ -338,8 +338,12 @@ fn main() {
     let demo_table = laliga::dirty_table();
     let demo_dcs = laliga::constraints();
     let demo_cell = laliga::cell_of_interest(&demo_table);
+    let demo_req = ExplainRequest {
+        cell: demo_cell,
+        players: Players::Constraints,
+    };
     let inline_reference = Explainer::new(&alg)
-        .explain_constraints(&demo_dcs, &demo_table, demo_cell)
+        .explain(&demo_dcs, &demo_table, &demo_req)
         .expect("the demo cell explains");
     let remote_latency = Duration::from_millis(1);
     let mut unbatched_throughput = None;
@@ -356,8 +360,8 @@ fn main() {
         let mut best: Option<(Duration, trex_repair::BatchStats)> = None;
         for _ in 0..3 {
             let start = Instant::now();
-            let (cons, _, stats) = explainer
-                .explain_constraints_with_batch_stats(&demo_dcs, &demo_table, demo_cell)
+            let cons = explainer
+                .explain(&demo_dcs, &demo_table, &demo_req)
                 .expect("the demo cell explains");
             let dt = start.elapsed();
             // The transport contract, asserted while we measure: routing
@@ -368,7 +372,7 @@ fn main() {
                 "batched explanation diverged at batch size {batch}"
             );
             if best.as_ref().is_none_or(|(b, _)| dt < *b) {
-                best = Some((dt, stats));
+                best = Some((dt, cons.batches));
             }
         }
         let (dt, stats) = best.expect("three runs produce a best");

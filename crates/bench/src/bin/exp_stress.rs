@@ -33,7 +33,7 @@
 //!   --json PATH       write the machine-readable artifact
 
 use std::time::Instant;
-use trex::Session;
+use trex::{ExplainRequest, Players, Session};
 use trex_datagen::{generate_scenario, ErrorRates, ScenarioConfig, SchemaKind};
 use trex_repair::RepairAlgorithm as _;
 use trex_shapley::{parallel, resolve_threads, ExecConfig};
@@ -256,9 +256,14 @@ fn main() {
     // constraint half — the solver that stays exact at any table size).
     let cell = repair.changes[0].cell;
     let started = Instant::now();
-    let (explanation, oracle, batches) = session
-        .explain_constraints_with_batch_stats(cell)
+    let req = ExplainRequest {
+        cell,
+        players: Players::Constraints,
+    };
+    let explanation = session
+        .explain(&req, &session.config())
         .expect("a repaired cell explains");
+    let (oracle, batches) = (explanation.oracle, explanation.batches);
     let top = explanation.ranking.top().expect("non-empty ranking");
     phases.push(finish_phase(
         "explain",

@@ -106,7 +106,8 @@ impl Args {
     /// request parser calls too — a bad `?threads=999999` over HTTP reads
     /// exactly like a bad `--threads 999999` here.
     pub fn exec_config(&self) -> Result<ExecConfig, ArgError> {
-        trex_shapley::exec_config_from_knobs(|name| self.get(name)).map_err(ArgError)
+        let base = ExecConfig::new().with_threads(trex_shapley::parallel::available_threads());
+        trex_shapley::exec_config_from_knobs(base, |name| self.get(name)).map_err(ArgError)
     }
 
     /// After all flags are read, error on anything the command didn't use.

@@ -14,6 +14,11 @@
 //! Engines: `holoclean` (default; add `--train` for perceptron calibration),
 //! `rules` (requires `--rules FILE` in the `C1: Attr <- action` syntax),
 //! `chase`, `holistic`.
+//!
+//! `violations`, `repair`, `explain`, `serve` and `demo` each open one
+//! `trex::Session` and call it: `explain` maps its flags to
+//! `trex::ExplainRequest`s and answers them through `Session::explain`, the
+//! entry point the server's `/explain` uses too.
 
 mod args;
 
@@ -21,12 +26,14 @@ use args::{ArgError, Args};
 use std::process::ExitCode;
 use trex::{
     render_explanation_screen, render_input_screen, render_repair_screen, AdaptiveConfig,
-    Explainer, MaskMode, Session,
+    ExplainRequest, MaskMode, Players, Session,
 };
-use trex_constraints::{find_all_violations_par, parse_dcs, DenialConstraint};
-use trex_repair::{FdChaseRepair, HolisticRepair, HoloCleanStyle, RepairAlgorithm, RuleRepair};
-use trex_shapley::{ExecConfig, SamplingConfig};
-use trex_table::{read_csv_strings, CellRef, Table};
+use trex_constraints::{parse_dcs, DenialConstraint};
+use trex_repair::{
+    FdChaseRepair, HolisticRepair, HoloCleanStyle, NoOpRepair, RepairAlgorithm, RuleRepair,
+};
+use trex_shapley::ExecConfig;
+use trex_table::{read_csv_strings, Table};
 
 const USAGE: &str = "\
 trex — table repair explanations via Shapley values
@@ -55,7 +62,8 @@ ENGINE FLAGS:
 EXEC FLAGS:
   --threads N, --oracle-cap N, --oracle-batch N, and --seed N form one
   execution-configuration surface, parsed identically by violations,
-  repair, and explain (each command consumes the knobs that apply to it).
+  repair, explain, and serve (each command consumes the knobs that apply
+  to it).
   --threads N (default: all hardware threads; 0 also means that) runs
   explain's cell sampling on N workers; for violations and repair it
   splits the row-pair violation scan. Output is identical at any thread
@@ -93,7 +101,8 @@ SERVE:
   running Shapley estimates), POST /cell, POST and DELETE /constraint.
   Every endpoint takes the exec flags as query parameters (threads=4&
   seed=7&...), validated exactly like the command-line flags; exec flags
-  given to serve itself set the session defaults.
+  given to serve itself set the session defaults, which every request
+  parameter it leaves out keeps.
 
 DATAGEN:
   trex datagen generates a scenario-corpus member and writes the files the
@@ -209,36 +218,34 @@ fn warn_unbatchable(cfg: &ExecConfig) {
     }
 }
 
-/// Parse a cell reference like `t5.Country` or `5.Country` (1-based row).
-fn parse_cell(table: &Table, spec: &str) -> Result<CellRef, ArgError> {
-    let (row_part, attr_part) = spec
-        .split_once('.')
-        .ok_or_else(|| ArgError(format!("--cell {spec:?}: expected tROW.Attr")))?;
-    let row_text = row_part.strip_prefix('t').unwrap_or(row_part);
-    let row: usize = row_text
-        .parse()
-        .map_err(|_| ArgError(format!("--cell {spec:?}: bad row {row_text:?}")))?;
-    if row == 0 || row > table.num_rows() {
-        return Err(ArgError(format!(
-            "--cell {spec:?}: row {row} out of range 1..={}",
-            table.num_rows()
-        )));
+/// Open the session `violations`, `repair`, `explain` and `serve` run on:
+/// load the table and constraints, reject any constraint that does not
+/// resolve against the table (the repair engines assume resolvable ones),
+/// and wrap the engine — the engine flags' choice, or `NoOpRepair` for a
+/// command that repairs nothing — under the exec flags.
+fn open_session(args: &Args, repairs: bool) -> Result<Session, ArgError> {
+    let (table, dcs) = load_inputs(args)?;
+    for dc in &dcs {
+        dc.resolved(table.schema())
+            .map_err(|e| ArgError(e.to_string()))?;
     }
-    let attr = table
-        .schema()
-        .resolve(attr_part)
-        .ok_or_else(|| ArgError(format!("--cell {spec:?}: no attribute {attr_part:?}")))?;
-    Ok(CellRef::new(row - 1, attr))
+    let cfg = args.exec_config()?;
+    let engine = if repairs {
+        load_engine(args, &cfg)?
+    } else {
+        Box::new(NoOpRepair)
+    };
+    Ok(Session::new(engine, table, dcs).with_config(cfg))
 }
 
 fn cmd_violations(args: &Args) -> Result<(), ArgError> {
-    let (table, dcs) = load_inputs(args)?;
-    let cfg = args.exec_config()?;
+    let session = open_session(args, false)?;
     args.reject_unknown()?;
-    let resolved: Result<Vec<_>, _> = dcs.iter().map(|d| d.resolved(table.schema())).collect();
-    let resolved = resolved.map_err(|e| ArgError(e.to_string()))?;
-    println!("{}", render_input_screen(&table, &dcs));
-    let violations = find_all_violations_par(&resolved, &table, cfg.threads());
+    println!(
+        "{}",
+        render_input_screen(session.table(), session.constraints())
+    );
+    let violations = session.violations().map_err(|e| ArgError(e.to_string()))?;
     if violations.is_empty() {
         println!("table is clean: no violations.");
         return Ok(());
@@ -251,27 +258,20 @@ fn cmd_violations(args: &Args) -> Result<(), ArgError> {
 }
 
 fn cmd_repair(args: &Args) -> Result<(), ArgError> {
-    let (table, dcs) = load_inputs(args)?;
-    let cfg = args.exec_config()?;
-    let engine = load_engine(args, &cfg)?;
+    let mut session = open_session(args, true)?;
     args.reject_unknown()?;
-    let result = engine.repair(&dcs, &table);
-    println!("engine: {}\n", engine.name());
-    println!("{}", render_repair_screen(&table, &result.changes));
+    let result = session.repair();
+    println!("engine: {}\n", session.algorithm().name());
+    println!("{}", render_repair_screen(session.table(), &result.changes));
     Ok(())
 }
 
-fn cmd_explain(args: &Args) -> Result<(), ArgError> {
-    let (table, dcs) = load_inputs(args)?;
-    let cfg = args.exec_config()?;
-    warn_unbatchable(&cfg);
-    let engine = load_engine(args, &cfg)?;
-    let cell_spec = args.require("cell")?.to_string();
-    let cell = parse_cell(&table, &cell_spec)?;
+/// Map `trex explain`'s cell flags to the players of its cell request:
+/// `None` without `--cells`.
+fn cell_game(args: &Args) -> Result<Option<Players>, ArgError> {
     let want_cells = args.has("cells");
     let samples_given = args.get("samples").is_some();
     let samples: usize = args.get_parsed("samples", 500)?;
-    let seed: u64 = cfg.seed().unwrap_or(0);
     let adaptive = args.has("adaptive");
     let adaptive_flags_given = ["tolerance", "batch", "max-samples"]
         .iter()
@@ -279,8 +279,7 @@ fn cmd_explain(args: &Args) -> Result<(), ArgError> {
     let tolerance: f64 = args.get_parsed("tolerance", 0.05)?;
     let batch: usize = args.get_parsed("batch", 100)?;
     let max_samples: usize = args.get_parsed("max-samples", 10_000)?;
-    let mask = args.get("mask").map(str::to_string);
-    args.reject_unknown()?;
+    let mask = args.get("mask");
     if adaptive && mask.is_some() {
         return Err(ArgError(
             "--adaptive implies replacement semantics; drop --mask".to_string(),
@@ -307,55 +306,60 @@ fn cmd_explain(args: &Args) -> Result<(), ArgError> {
     if batch == 0 {
         return Err(ArgError("--batch must be at least 1".to_string()));
     }
-
-    let explainer = Explainer::new(engine.as_ref()).with_config(cfg);
-    let constraints = explainer
-        .explain_constraints(&dcs, &table, cell)
-        .map_err(|e| ArgError(e.to_string()))?;
-    let mut adaptive_note = None;
-    let cells = if want_cells && adaptive {
-        let config = AdaptiveConfig {
+    let masked = |mode| Players::MaskedCells {
+        mode,
+        walks: samples,
+    };
+    Ok(match (want_cells, adaptive, mask.unwrap_or("null")) {
+        (false, ..) => None,
+        (true, true, _) => Some(Players::AdaptiveCells(AdaptiveConfig {
             tolerance,
             batch,
             max_samples,
-            seed,
             ..AdaptiveConfig::default()
-        };
-        let (out, converged) = explainer
-            .explain_cells_adaptive(&dcs, &table, cell, config)
-            .map_err(|e| ArgError(e.to_string()))?;
-        let done = converged.iter().filter(|c| **c).count();
-        adaptive_note = Some(format!(
-            "adaptive budget: {done}/{} cells converged to ±{tolerance} \
-             (95% CI; batch {batch}, cap {max_samples} samples/cell)",
-            converged.len()
-        ));
-        Some(out)
-    } else if want_cells {
-        let config = SamplingConfig { samples, seed };
-        let out = match mask.as_deref().unwrap_or("null") {
-            "replace" => explainer.explain_cells_sampled(&dcs, &table, cell, config),
-            "null" => explainer.explain_cells_masked(&dcs, &table, cell, MaskMode::Null, config),
-            "distinct" => {
-                explainer.explain_cells_masked(&dcs, &table, cell, MaskMode::Distinct, config)
-            }
-            other => {
-                return Err(ArgError(format!(
-                    "unknown mask {other:?} (null | distinct | replace)"
-                )))
-            }
-        };
-        Some(out.map_err(|e| ArgError(e.to_string()))?)
-    } else {
-        None
+        })),
+        (true, false, "replace") => Some(Players::ReplacedCells { samples }),
+        (true, false, "null") => Some(masked(MaskMode::Null)),
+        (true, false, "distinct") => Some(masked(MaskMode::Distinct)),
+        (true, false, other) => {
+            return Err(ArgError(format!(
+                "unknown mask {other:?} (null | distinct | replace)"
+            )))
+        }
+    })
+}
+
+fn cmd_explain(args: &Args) -> Result<(), ArgError> {
+    let session = open_session(args, true)?;
+    warn_unbatchable(&session.config());
+    let cell_spec = args.require("cell")?.to_string();
+    let cell = trex::parse_cell(session.table(), &cell_spec)
+        .map_err(|e| ArgError(format!("--cell {e}")))?;
+    let cell_game = cell_game(args)?;
+    args.reject_unknown()?;
+
+    let explain = |players| {
+        session
+            .explain(&ExplainRequest { cell, players }, &session.config())
+            .map_err(|e| ArgError(e.to_string()))
     };
-    println!("engine: {}\n", engine.name());
+    let constraints = explain(Players::Constraints)?;
+    let cells = cell_game.map(explain).transpose()?;
+    println!("engine: {}\n", session.algorithm().name());
     println!(
         "{}",
         render_explanation_screen(&cell_spec, Some(&constraints), cells.as_ref())
     );
-    if let Some(note) = adaptive_note {
-        println!("{note}");
+    if let (Some(Players::AdaptiveCells(a)), Some(out)) = (cell_game, &cells) {
+        let done = out.converged.iter().filter(|c| **c).count();
+        println!(
+            "adaptive budget: {done}/{} cells converged to ±{} \
+             (95% CI; batch {}, cap {} samples/cell)",
+            out.converged.len(),
+            a.tolerance,
+            a.batch,
+            a.max_samples
+        );
     }
     Ok(())
 }
@@ -363,17 +367,14 @@ fn cmd_explain(args: &Args) -> Result<(), ArgError> {
 /// `trex serve`: load one (table, constraints, engine) triple and answer
 /// HTTP/JSON requests over a shared long-lived session until interrupted.
 fn cmd_serve(args: &Args) -> Result<(), ArgError> {
-    let (table, dcs) = load_inputs(args)?;
-    let cfg = args.exec_config()?;
-    warn_unbatchable(&cfg);
-    let engine = load_engine(args, &cfg)?;
+    let session = open_session(args, true)?;
+    warn_unbatchable(&session.config());
     let addr = args.get("addr").unwrap_or("127.0.0.1:7878").to_string();
     let http_threads: usize = args.get_parsed("http-threads", 4)?;
     args.reject_unknown()?;
     if http_threads == 0 {
         return Err(ArgError("--http-threads must be at least 1".to_string()));
     }
-    let session = Session::new(engine, table, dcs).with_config(cfg);
     let config = trex_server::ServerConfig { addr, http_threads };
     let handle = trex_server::serve(session, &config)
         .map_err(|e| ArgError(format!("cannot bind {}: {e}", config.addr)))?;
@@ -561,29 +562,28 @@ fn cmd_datagen(args: &Args) -> Result<(), ArgError> {
 fn cmd_demo(args: &Args) -> Result<(), ArgError> {
     args.reject_unknown()?;
     use trex_datagen::laliga;
-    let dirty = laliga::dirty_table();
-    let dcs = laliga::constraints();
-    let alg = laliga::algorithm1();
-    println!("{}", render_input_screen(&dirty, &dcs));
-    let result = alg.repair(&dcs, &dirty);
-    println!("{}", render_repair_screen(&dirty, &result.changes));
-    let cell = laliga::cell_of_interest(&dirty);
-    let explainer = Explainer::new(&alg);
-    let constraints = explainer
-        .explain_constraints(&dcs, &dirty, cell)
-        .expect("the demo cell is repaired");
-    let cells = explainer
-        .explain_cells_masked(
-            &dcs,
-            &dirty,
-            cell,
-            MaskMode::Null,
-            SamplingConfig {
-                samples: 800,
-                seed: 0,
-            },
-        )
-        .expect("the demo cell is repaired");
+    let mut session = Session::new(
+        Box::new(laliga::algorithm1()),
+        laliga::dirty_table(),
+        laliga::constraints(),
+    );
+    println!(
+        "{}",
+        render_input_screen(session.table(), session.constraints())
+    );
+    let result = session.repair();
+    println!("{}", render_repair_screen(session.table(), &result.changes));
+    let cell = laliga::cell_of_interest(session.table());
+    let explain = |players| {
+        session
+            .explain(&ExplainRequest { cell, players }, &session.config())
+            .expect("the demo cell is repaired")
+    };
+    let constraints = explain(Players::Constraints);
+    let cells = explain(Players::MaskedCells {
+        mode: MaskMode::Null,
+        walks: 800,
+    });
     println!(
         "{}",
         render_explanation_screen("t5[Country]", Some(&constraints), Some(&cells))
@@ -598,14 +598,12 @@ fn cmd_demo(args: &Args) -> Result<(), ArgError> {
         max_samples: 4000,
         ..AdaptiveConfig::default()
     };
-    let (adaptive, converged) = explainer
-        .explain_cells_adaptive(&dcs, &dirty, cell, config)
-        .expect("the demo cell is repaired");
-    let done = converged.iter().filter(|c| **c).count();
+    let adaptive = explain(Players::AdaptiveCells(config));
+    let done = adaptive.converged.iter().filter(|c| **c).count();
     println!(
         "adaptive budget (replacement semantics): {done}/{} cells converged to \
          ±{} (95% CI, cap {} samples/cell); top cell: {}",
-        converged.len(),
+        adaptive.converged.len(),
         config.tolerance,
         config.max_samples,
         adaptive
@@ -620,36 +618,6 @@ fn cmd_demo(args: &Args) -> Result<(), ArgError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trex_table::TableBuilder;
-
-    fn table() -> Table {
-        TableBuilder::new()
-            .str_columns(["Team", "City"])
-            .str_row(["A", "X"])
-            .str_row(["B", "Y"])
-            .build()
-    }
-
-    #[test]
-    fn parse_cell_accepts_both_forms() {
-        let t = table();
-        let c = parse_cell(&t, "t2.City").unwrap();
-        assert_eq!(c, CellRef::new(1, t.schema().id("City")));
-        assert_eq!(
-            parse_cell(&t, "1.Team").unwrap(),
-            CellRef::new(0, t.schema().id("Team"))
-        );
-    }
-
-    #[test]
-    fn parse_cell_rejects_bad_specs() {
-        let t = table();
-        assert!(parse_cell(&t, "City").is_err());
-        assert!(parse_cell(&t, "t0.City").is_err());
-        assert!(parse_cell(&t, "t3.City").is_err());
-        assert!(parse_cell(&t, "t1.Nope").is_err());
-        assert!(parse_cell(&t, "tx.City").is_err());
-    }
 
     #[test]
     fn exec_flags_share_one_validation_path_across_subcommands() {
@@ -723,13 +691,45 @@ mod tests {
         // exported Algorithm 1 repairs cells (not every injected error
         // violates a constraint, so full clean-table recovery is not
         // guaranteed for an all-kinds error mix).
-        let resolved: Vec<_> = dcs
-            .iter()
-            .map(|d| d.resolved(dirty.schema()).unwrap())
-            .collect();
-        assert!(!find_all_violations_par(&resolved, &dirty, 2).is_empty());
-        let repaired = rules.repair(&dcs, &dirty);
-        assert!(!repaired.changes.is_empty());
+        let mut session = Session::new(Box::new(rules), dirty, dcs);
+        assert!(!session.violations().unwrap().is_empty());
+        assert!(!session.repair().changes.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unresolvable_constraints_are_errors_not_panics() {
+        let dir =
+            std::env::temp_dir().join(format!("trex-unresolvable-cli-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../data");
+        let dcs = std::fs::read_to_string(format!("{root}/laliga.dcs")).unwrap();
+        let bad = dir.join("bad.dcs");
+        std::fs::write(&bad, format!("{dcs}C9: !(t1.Nope = t2.Nope)\n")).unwrap();
+        let table = format!("{root}/laliga_dirty.csv");
+        let rules = format!("{root}/algorithm1.rules");
+        let bad = bad.to_str().unwrap();
+        let base = ["--table", &table, "--dcs", bad];
+        for extra in [
+            vec!["violations"],
+            vec!["repair", "--engine", "rules", "--rules", &rules],
+            vec!["repair"],
+            vec!["explain", "--cell", "t5.Country"],
+        ] {
+            let args = Args::parse([&extra[..1], &base, &extra[1..]].concat()).unwrap();
+            let err = match extra[0] {
+                "violations" => cmd_violations(&args),
+                "repair" => cmd_repair(&args),
+                _ => cmd_explain(&args),
+            }
+            .unwrap_err()
+            .to_string();
+            assert!(err.contains("unknown attribute"), "{extra:?}: {err}");
+            assert!(err.contains("C9"), "{extra:?}: {err}");
+        }
+        // Lint still loads the program unresolved and reports it.
+        let lint = Args::parse(["lint", "--table", &table, "--dcs", bad]).unwrap();
+        assert_eq!(cmd_lint(&lint).unwrap(), ExitCode::FAILURE);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

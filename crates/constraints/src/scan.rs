@@ -28,9 +28,12 @@
 //!   spreads across the workers instead of landing on one;
 //! * the nested loop chunks its outer row range.
 //!
-//! `threads = 1` runs the serial bucket loop directly (no blocks, no
-//! spawn): the repair engines call [`find_violations_par`] for every rule
-//! in every round of every coalition repair, on tables of a few rows.
+//! A scan never runs more workers than its pair work pays for: each worker
+//! must get at least `MIN_PAIRS_PER_WORKER` row pairs, so small scans
+//! run on the calling thread. One worker runs the serial bucket loop
+//! directly (no blocks, no spawn): the repair engines call
+//! [`find_violations_par`] for every rule in every round of every
+//! coalition repair, on tables of a few rows.
 //!
 //! **Pruning.** [`find_all_violations_par`] skips every DC that
 //! [`crate::analyze::statically_unviolable`] proves can never be violated.
@@ -87,6 +90,28 @@ pub fn noisy_cells_par(dcs: &[DenialConstraint], table: &Table, threads: usize) 
     out
 }
 
+/// The fewest row pairs a scan worker must get before the scan splits
+/// (unary DCs count one check per row as a pair).
+///
+/// Spawning and joining a scoped worker costs about 50–70 µs on a 2-vCPU
+/// Linux host, while one pair probe costs about 5–15 ns. Timed there
+/// (release, best of 5), a 2-worker scan lost to the serial one at 4,032
+/// pairs (bucket 77 → 126 µs, nested loop 70 → 104 µs), was mixed at 9,120
+/// and won at 16,256 (310 → 245 µs, 209 → 185 µs). The 6-row laliga scan of
+/// four DCs took 8 µs serial and 150 µs at 2 threads. At 8,192 pairs per
+/// worker a split starts at 16,384 pairs, where it measured ahead.
+const MIN_PAIRS_PER_WORKER: usize = 8192;
+
+/// The workers a scan of `pairs` row pairs gets out of `threads`.
+fn workers_for(pairs: usize, threads: usize) -> usize {
+    threads.min(pairs / MIN_PAIRS_PER_WORKER).max(1)
+}
+
+/// The ordered row pairs within the equality groups.
+fn pair_count(groups: &[Vec<usize>]) -> usize {
+    groups.iter().map(|g| g.len() * (g.len() - 1)).sum()
+}
+
 /// [`find_violations_par`] against a pre-built encoding of `table`.
 fn scan_dc(
     dc: &DenialConstraint,
@@ -95,14 +120,18 @@ fn scan_dc(
     threads: usize,
 ) -> Vec<Violation> {
     assert!(threads >= 1, "threads must be >= 1 (resolve 0 first)");
-    // Clamp to the available work: spawning more workers than rows (the
-    // finest work unit either path has) only burns spawn/join cycles.
-    let threads = threads.min(table.num_rows()).max(1);
     let cdc = CompiledDc::compile(dc);
     let Some((key, groups)) = equality_groups(dc, table, enc) else {
-        let ranges = chunk_ranges(table.num_rows(), threads);
+        let n = table.num_rows();
+        let pairs = if dc.is_binary() {
+            n * n.saturating_sub(1)
+        } else {
+            n
+        };
+        let ranges = chunk_ranges(n, workers_for(pairs, threads));
         return scan_on_workers(ranges, |rows| nested_loop(&cdc, table, enc, rows));
     };
+    let threads = workers_for(pair_count(&groups), threads);
     if threads == 1 {
         let mut out = Vec::new();
         for rows in &groups {
@@ -357,8 +386,7 @@ struct PairBlock {
 /// in order and groups stay in order, so concatenating block outputs
 /// reproduces the serial scan exactly.
 fn pair_blocks(groups: &[Vec<usize>], threads: usize) -> Vec<PairBlock> {
-    let total: usize = groups.iter().map(|g| g.len() * (g.len() - 1)).sum();
-    let share = (total / threads).max(1);
+    let share = (pair_count(groups) / threads).max(1);
     let mut blocks = Vec::new();
     for (group, rows) in groups.iter().enumerate() {
         let b = rows.len();
@@ -646,6 +674,50 @@ mod tests {
         let dc = resolved(DCS[0], &t);
         for threads in [1usize, 4] {
             assert!(find_violations_par(&dc, &t, threads).is_empty());
+        }
+    }
+
+    #[test]
+    fn worker_count_follows_the_pair_work() {
+        assert_eq!(workers_for(0, 8), 1);
+        assert_eq!(workers_for(2 * MIN_PAIRS_PER_WORKER - 1, 8), 1);
+        assert_eq!(workers_for(2 * MIN_PAIRS_PER_WORKER, 8), 2);
+        assert_eq!(workers_for(100 * MIN_PAIRS_PER_WORKER, 8), 8);
+        assert_eq!(workers_for(100 * MIN_PAIRS_PER_WORKER, 1), 1);
+        // laliga-sized scans stay on the calling thread.
+        assert_eq!(workers_for(6 * 5, 4), 1);
+    }
+
+    #[test]
+    fn scans_big_enough_to_split_are_identical_at_every_thread_count() {
+        // 600 rows: five Team buckets of 120 rows (71,400 pairs), three
+        // City buckets (119,600) and the 359,400-pair nested loop all
+        // clear the per-worker floor, so every binary DC really splits;
+        // the unary DC's 600 checks do not.
+        let t = table(600);
+        for src in DCS {
+            let dc = resolved(src, &t);
+            let serial = find_violations_par(&dc, &t, 1);
+            for threads in [2usize, 3, 8] {
+                assert_eq!(serial, find_violations_par(&dc, &t, threads), "{src}");
+            }
+        }
+        // One giant bucket: the block split spreads it over the workers.
+        let mut b = TableBuilder::new().str_columns(["Team", "City", "Country"]);
+        for i in 0..300 {
+            let city = format!("C{}", i % 7);
+            b = b.str_row(["Same", city.as_str(), "Y"]);
+        }
+        let giant = b.build();
+        let dc = resolved(DCS[0], &giant);
+        let serial = find_violations_par(&dc, &giant, 1);
+        let same_city: usize = (0..7)
+            .map(|c| (0..300).filter(|i| i % 7 == c).count())
+            .map(|k| k * (k - 1))
+            .sum();
+        assert_eq!(serial.len(), 300 * 299 - same_city);
+        for threads in [2usize, 4, 8] {
+            assert_eq!(serial, find_violations_par(&dc, &giant, threads));
         }
     }
 }

@@ -1,10 +1,16 @@
 //! The explainer — T-REx's front door.
 //!
-//! Given the black-box repair algorithm, the constraint set, the dirty
-//! table, and a repaired cell of interest, [`Explainer`] produces the two
-//! rankings of §1: constraints by Shapley value (computed exactly, §2.3)
-//! and cells by Shapley value (approximated by permutation sampling, §2.3,
-//! or computed exactly on small tables).
+//! T-REx answers one kind of question: for a repaired cell the user
+//! selected, rank the constraints or the cells by Shapley value (§1, §3).
+//! An [`ExplainRequest`] names the cell and the [`Players`] — which game to
+//! play and how to solve it — and [`Explainer::explain`] answers it with
+//! one [`Explanation`]. The constraint game is solved exactly (subset
+//! enumeration, §2.3); the cell games are estimated by sampling, under
+//! masked (§2.2) or random-replacement (§2.3) semantics.
+//!
+//! A request's game, its budget and the execution configuration (thread
+//! count, oracle bounds, seed) meet in [`Explainer::explain_anytime`], the
+//! one code path every request runs through.
 
 use crate::games::{CellGameMasked, CellGameSampled, ConstraintGame, MaskMode};
 use crate::ranking::Ranking;
@@ -12,11 +18,11 @@ use std::fmt;
 use std::sync::Arc;
 use trex_constraints::DenialConstraint;
 use trex_repair::{
-    BatchStats, OracleBackend, OracleCache, RepairAlgorithm, RepairResult, ShardedOracle,
+    BatchStats, OracleBackend, OracleCache, OracleStats, RepairAlgorithm, ShardedOracle,
 };
 use trex_shapley::{
-    parallel, shapley_exact, shapley_exact_rational, AnytimeCheckpoint, AnytimeControl, ExecConfig,
-    Game, ParallelConfig, Rational, SamplingConfig, StochasticGame,
+    parallel, shapley_exact, shapley_exact_rational, AnytimeCheckpoint, AnytimeControl, Estimate,
+    ExecConfig, Game, ParallelConfig, Rational,
 };
 use trex_table::{CellRef, Table, Value};
 
@@ -34,13 +40,6 @@ pub enum ExplainError {
         /// The offending reference.
         cell: CellRef,
     },
-    /// Exact cell explanation was requested for a table with too many cells.
-    TooManyCells {
-        /// Number of player cells.
-        players: usize,
-        /// The exact-solver cap.
-        limit: usize,
-    },
 }
 
 impl fmt::Display for ExplainError {
@@ -53,33 +52,19 @@ impl fmt::Display for ExplainError {
                 )
             }
             ExplainError::CellOutOfRange { cell } => write!(f, "cell {cell} is out of range"),
-            ExplainError::TooManyCells { players, limit } => write!(
-                f,
-                "exact cell explanation over {players} cells exceeds the {limit}-player limit; use sampling"
-            ),
         }
     }
 }
 
 impl std::error::Error for ExplainError {}
 
-/// A constraint explanation: the ranking plus the exact rational values.
-#[derive(Debug, Clone)]
-pub struct ConstraintExplanation {
-    /// Constraints ranked by Shapley value.
-    pub ranking: Ranking,
-    /// Exact values as rationals (denominator `|C|!`), in constraint order —
-    /// only present when the repair oracle is 0/1 (it always is here).
-    pub exact: Vec<(String, Rational)>,
-    /// The repaired (target) value of the cell of interest.
-    pub target: Value,
-}
-
 /// Configuration of the adaptive (precision-targeted) cell explanation:
 /// instead of a fixed per-player sample count, each cell is sampled in
 /// batches until its confidence half-width meets `tolerance` or its
-/// `max_samples` budget runs out.
-#[derive(Debug, Clone, Copy)]
+/// `max_samples` budget runs out. The seed is the execution
+/// configuration's ([`ExecConfig::seed`]), laddered per player exactly
+/// like fixed-budget replacement sampling.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveConfig {
     /// Target half-width of the per-cell confidence interval.
     pub tolerance: f64,
@@ -91,9 +76,6 @@ pub struct AdaptiveConfig {
     pub batch: usize,
     /// Per-cell cap on total samples.
     pub max_samples: usize,
-    /// Base RNG seed (laddered per player exactly like fixed-budget
-    /// sampling).
-    pub seed: u64,
 }
 
 impl Default for AdaptiveConfig {
@@ -103,39 +85,131 @@ impl Default for AdaptiveConfig {
             z: 1.96,
             batch: 100,
             max_samples: 10_000,
-            seed: 0,
         }
     }
 }
 
-/// A cell explanation: the ranking over influencing cells.
+/// The players an [`ExplainRequest`] ranks, and how their Shapley values
+/// are computed. Every variant is one solver path; the seed of the sampled
+/// ones is the execution configuration's ([`ExecConfig::seed`], default 0).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Players {
+    /// The denial constraints, exactly: subset enumeration over all
+    /// `2^|C|` coalitions, with oracle memoization. The left half of the
+    /// demo's explanation screen.
+    Constraints,
+    /// The cells under the masked semantics of §2.2 (see [`MaskMode`]),
+    /// estimated by `walks` shared permutation walks, each contributing
+    /// one marginal sample to every cell.
+    MaskedCells {
+        /// How an out-of-coalition cell is masked.
+        mode: MaskMode,
+        /// Permutation walks (the budget).
+        walks: usize,
+    },
+    /// The cells under the random-replacement semantics of §2.3 /
+    /// Example 2.5 (common random numbers, per-player permutation
+    /// sampling), `samples` per cell.
+    ReplacedCells {
+        /// Samples per cell (the budget).
+        samples: usize,
+    },
+    /// The cells under random replacement, each sampled until its
+    /// estimate is tight or its cap is spent (extension). Cells with tight
+    /// estimates (dummies most of all) stop early; the budget concentrates
+    /// on the contested ones.
+    AdaptiveCells(AdaptiveConfig),
+}
+
+/// One explanation request: the repaired cell to explain and the players
+/// to rank. The execution configuration travels beside it (the
+/// explainer's, or the one a `Session` request passes), not inside it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ExplainRequest {
+    /// The repaired cell of interest.
+    pub cell: CellRef,
+    /// Which game to play, and its budget.
+    pub players: Players,
+}
+
+/// The answer to an [`ExplainRequest`], whatever its players.
 #[derive(Debug, Clone)]
-pub struct CellExplanation {
-    /// Cells ranked by (estimated) Shapley value.
-    pub ranking: Ranking,
-    /// The player cells, index-aligned with `values`.
-    pub players: Vec<CellRef>,
-    /// Raw values in player order (useful for programmatic consumers).
-    pub values: Vec<f64>,
+pub struct Explanation {
     /// The repaired (target) value of the cell of interest.
     pub target: Value,
+    /// Players ranked by (estimated) Shapley value; sampled rankings carry
+    /// standard errors.
+    pub ranking: Ranking,
+    /// Raw values in player order (constraint order for the constraint
+    /// game, index-aligned with `players` for the cell games).
+    pub values: Vec<f64>,
+    /// The player cells, index-aligned with `values`; empty for the
+    /// constraint game.
+    pub players: Vec<CellRef>,
+    /// Exact values as rationals (denominator `|C|!`), in constraint
+    /// order; only the constraint game has them.
+    pub exact: Vec<(String, Rational)>,
+    /// Per player cell: did its estimate converge within budget? Only the
+    /// adaptive game has them.
+    pub converged: Vec<bool>,
+    /// Whether the full budget ran: `false` only when an anytime observer
+    /// stopped a walk run early.
+    pub finished: bool,
+    /// The repair oracle's cache counters (hits, misses, evictions) over
+    /// this request. The replacement games query the algorithm directly,
+    /// so theirs are zero.
+    pub oracle: OracleStats,
+    /// The oracle's batched-dispatch counters: how many dispatches ran and
+    /// how many cache-missing coalition queries they carried.
+    pub batches: BatchStats,
+}
+
+/// The cell-game explanation of `estimates` over `players`, labeled in
+/// `dirty`'s `t5[League]` notation.
+fn cell_explanation(
+    dirty: &Table,
+    target: Value,
+    players: Vec<CellRef>,
+    estimates: &[Estimate],
+) -> Explanation {
+    let ranking = Ranking::with_errors(
+        players
+            .iter()
+            .zip(estimates)
+            .map(|(c, e)| {
+                (
+                    crate::games::cell_label(dirty, *c),
+                    e.value,
+                    Some(e.std_error()),
+                )
+            })
+            .collect(),
+    );
+    Explanation {
+        target,
+        ranking,
+        values: estimates.iter().map(|e| e.value).collect(),
+        players,
+        exact: Vec::new(),
+        converged: Vec::new(),
+        finished: true,
+        oracle: OracleStats::default(),
+        batches: BatchStats::default(),
+    }
 }
 
 /// The T-REx explainer.
 ///
-/// Wraps a black-box [`RepairAlgorithm`]; every method treats it purely
+/// Wraps a black-box [`RepairAlgorithm`]; every request treats it purely
 /// through repeated repair queries, per the paper's design.
 ///
-/// Cell explanations run on the parallel sampling engine
-/// (`trex_shapley::parallel`). The default is one worker;
-/// [`Explainer::with_config`] with [`ExecConfig::with_threads`] opts into
-/// multi-core sampling. Every thread count returns the serial estimates bit
-/// for bit, so the thread count only sets wall time.
-///
-/// The memoizing repair oracle behind the coalition games grows with the
-/// number of distinct coalition tables visited;
-/// [`ExecConfig::with_oracle_cap`] bounds it (entries, second-chance
-/// eviction) without changing any result.
+/// Requests run under one [`ExecConfig`] ([`Explainer::with_config`]):
+/// its thread count sets the parallel sampling engine's worker count
+/// (`trex_shapley::parallel`; every count returns the serial estimates bit
+/// for bit, so it only sets wall time), its seed seeds the sampled games,
+/// and [`ExecConfig::with_oracle_cap`] bounds the memoizing repair oracle
+/// behind the coalition games (entries, second-chance eviction) without
+/// changing any result.
 ///
 /// Oracle misses are answered by the wrapped algorithm by default.
 /// [`Explainer::with_oracle_backend`] routes them through an
@@ -153,8 +227,8 @@ pub struct Explainer<'a> {
 }
 
 impl<'a> Explainer<'a> {
-    /// Wrap a repair algorithm (single sampling worker, default oracle
-    /// capacity, local oracle dispatch).
+    /// Wrap a repair algorithm (single sampling worker, seed 0, default
+    /// oracle capacity, local oracle dispatch).
     pub fn new(alg: &'a dyn RepairAlgorithm) -> Self {
         Explainer {
             alg,
@@ -176,11 +250,6 @@ impl<'a> Explainer<'a> {
         self
     }
 
-    /// The configured oracle backend, if any.
-    pub fn oracle_backend(&self) -> Option<&'a dyn OracleBackend> {
-        self.backend
-    }
-
     /// Memoize coalition repairs in `cache` instead of a fresh private
     /// cache per oracle. Several explainers (or several requests against
     /// one long-lived `Session`) sharing one [`OracleCache`] pool their
@@ -195,55 +264,12 @@ impl<'a> Explainer<'a> {
         self
     }
 
-    /// The shared oracle cache, if one is attached.
-    pub fn oracle_cache(&self) -> Option<&Arc<OracleCache>> {
-        self.cache.as_ref()
-    }
-
     /// Apply an execution configuration wholesale: thread count, oracle
-    /// capacity, and batch bound in one value shared with `Session` and the
-    /// repair engines. The config's `seed`, if set, is not consumed here —
-    /// sampling methods take their seed from the explicit
-    /// [`SamplingConfig`] argument.
+    /// capacity, batch bound, and the seed of the sampled games (0 when
+    /// unset), in one value shared with `Session` and the repair engines.
     pub fn with_config(mut self, cfg: ExecConfig) -> Self {
         self.cfg = cfg;
         self
-    }
-
-    /// The explainer's execution configuration.
-    pub fn config(&self) -> ExecConfig {
-        self.cfg
-    }
-
-    /// The configured sampling worker count.
-    pub fn threads(&self) -> usize {
-        self.cfg.threads()
-    }
-
-    /// The pinned oracle capacity, if any (`None` = the oracle default).
-    pub fn oracle_capacity(&self) -> Option<usize> {
-        self.cfg.oracle_cap()
-    }
-
-    /// Pre-flight static analysis of a constraint program against the table
-    /// it is about to explain repairs over (see
-    /// [`trex_constraints::analyze_with_table`]). Explanations of a
-    /// mistyped or dead constraint are confusingly all-zero; run this first
-    /// and surface the diagnostics.
-    pub fn analyze(&self, dcs: &[DenialConstraint], table: &Table) -> trex_constraints::Analysis {
-        trex_constraints::analyze_with_table(dcs, table)
-    }
-
-    /// The parallel sampling configuration of a run with `config`.
-    fn parallel(&self, config: SamplingConfig) -> ParallelConfig {
-        ParallelConfig::from_sampling(config, self.threads())
-    }
-
-    /// Whether the batched-dispatch machinery is in play (a batch bound or
-    /// a backend is configured) — the only case where computing scan-cost
-    /// estimates for batch ordering buys anything.
-    fn batching_configured(&self) -> bool {
-        self.cfg.oracle_batch().is_some() || self.backend.is_some()
     }
 
     /// Build a coalition oracle carrying every configured knob: capacity
@@ -268,55 +294,6 @@ impl<'a> Explainer<'a> {
         oracle
     }
 
-    /// Build the constraint game with this explainer's oracle
-    /// configuration. When batching is configured, the static analyzer's
-    /// per-DC scan-cost estimates are attached so batch formation orders
-    /// coalition scans most-expensive-first.
-    fn constraint_game<'b>(
-        &self,
-        dcs: &'b [DenialConstraint],
-        dirty: &'b Table,
-        cell: CellRef,
-        target: Value,
-    ) -> ConstraintGame<'b>
-    where
-        'a: 'b,
-    {
-        let game = ConstraintGame::with_oracle(self.build_oracle(), dcs, dirty, cell, target);
-        if self.batching_configured() {
-            game.with_dc_costs(trex_constraints::scan_cost_estimates(dcs, dirty))
-        } else {
-            game
-        }
-    }
-
-    /// Build the masked cell game with this explainer's oracle
-    /// configuration.
-    fn masked_game<'b>(
-        &self,
-        dcs: &'b [DenialConstraint],
-        dirty: &'b Table,
-        cell: CellRef,
-        target: Value,
-        mode: MaskMode,
-    ) -> CellGameMasked<'b>
-    where
-        'a: 'b,
-    {
-        CellGameMasked::with_oracle(self.build_oracle(), dcs, dirty, cell, target, mode)
-    }
-
-    /// The wrapped algorithm.
-    pub fn algorithm(&self) -> &dyn RepairAlgorithm {
-        self.alg
-    }
-
-    /// Run the full repair (`Alg(C, T^d)`), the step behind the demo's
-    /// "Repair" button.
-    pub fn repair(&self, dcs: &[DenialConstraint], dirty: &Table) -> RepairResult {
-        self.alg.repair(dcs, dirty)
-    }
-
     /// Determine the repair target of `cell`: the clean value the full run
     /// assigns it. Errors if the cell is out of range or not repaired.
     pub fn repair_target(
@@ -336,319 +313,135 @@ impl<'a> Explainer<'a> {
         Ok(target.clone())
     }
 
-    /// Explain the influence of each **constraint** on the repair of
-    /// `cell`, exactly (subset enumeration over `2^|C|` coalitions, with
-    /// oracle memoization). This is the left half of the demo's
-    /// explanation screen.
-    pub fn explain_constraints(
+    /// Answer `req` over `dcs` and `dirty`: the ranking of the request's
+    /// players for the repair of its cell, with the oracle and batch
+    /// counters the run accumulated. Errors if the cell is out of range or
+    /// not repaired by the full run.
+    pub fn explain(
         &self,
         dcs: &[DenialConstraint],
         dirty: &Table,
-        cell: CellRef,
-    ) -> Result<ConstraintExplanation, ExplainError> {
-        self.explain_constraints_with_stats(dcs, dirty, cell)
-            .map(|(explanation, _)| explanation)
+        req: &ExplainRequest,
+    ) -> Result<Explanation, ExplainError> {
+        self.explain_anytime(dcs, dirty, req, 0, |_| AnytimeControl::Continue)
     }
 
-    /// [`Explainer::explain_constraints`], also returning the repair-oracle
-    /// cache counters the explanation accumulated (hits, misses,
-    /// evictions). The stress harness records these as cache-pressure
-    /// telemetry; the explanation itself is identical at any oracle
-    /// capacity.
-    pub fn explain_constraints_with_stats(
-        &self,
-        dcs: &[DenialConstraint],
-        dirty: &Table,
-        cell: CellRef,
-    ) -> Result<(ConstraintExplanation, trex_repair::OracleStats), ExplainError> {
-        self.explain_constraints_with_batch_stats(dcs, dirty, cell)
-            .map(|(explanation, stats, _)| (explanation, stats))
-    }
-
-    /// [`Explainer::explain_constraints_with_stats`], additionally
-    /// returning the oracle's batched-dispatch counters ([`BatchStats`]):
-    /// how many backend dispatches ran and how many coalition queries they
-    /// carried. Zero unless a solver path evaluated coalitions in batches.
-    pub fn explain_constraints_with_batch_stats(
-        &self,
-        dcs: &[DenialConstraint],
-        dirty: &Table,
-        cell: CellRef,
-    ) -> Result<(ConstraintExplanation, trex_repair::OracleStats, BatchStats), ExplainError> {
-        let target = self.repair_target(dcs, dirty, cell)?;
-        let game = self.constraint_game(dcs, dirty, cell, target.clone());
-        let values = shapley_exact(&game).expect("constraint sets are small");
-        let rationals = shapley_exact_rational(&game).expect("constraint sets are small");
-        let ranking = Ranking::new(
-            values
-                .iter()
-                .enumerate()
-                .map(|(i, v)| (Game::player_label(&game, i), *v))
-                .collect(),
-        );
-        let explanation = ConstraintExplanation {
-            ranking,
-            exact: rationals
-                .into_iter()
-                .enumerate()
-                .map(|(i, r)| (Game::player_label(&game, i), r))
-                .collect(),
-            target,
-        };
-        Ok((explanation, game.oracle_stats(), game.oracle_batch_stats()))
-    }
-
-    /// Pairwise **Shapley interaction indices** of the constraints for the
-    /// repair of `cell` (extension; Grabisch–Roubens). Positive entries are
-    /// complements — the paper's C1/C2, which "contributed as a pair" —
-    /// negative entries substitutes (C3 against either of them). Returns
-    /// the labeled symmetric matrix in constraint order.
-    pub fn constraint_interactions(
-        &self,
-        dcs: &[DenialConstraint],
-        dirty: &Table,
-        cell: CellRef,
-    ) -> Result<(Vec<String>, Vec<Vec<f64>>), ExplainError> {
-        let target = self.repair_target(dcs, dirty, cell)?;
-        let game = self.constraint_game(dcs, dirty, cell, target);
-        let matrix =
-            trex_shapley::shapley_interaction_exact(&game).expect("constraint sets are small");
-        let labels = (0..dcs.len())
-            .map(|i| Game::player_label(&game, i))
-            .collect();
-        Ok((labels, matrix))
-    }
-
-    /// **Banzhaf** power indices of the constraints (extension): the
-    /// unweighted-average-marginal alternative to Shapley. Useful as a
-    /// cross-check that the ranking is not an artifact of Shapley's
-    /// size weighting.
-    pub fn constraint_banzhaf(
-        &self,
-        dcs: &[DenialConstraint],
-        dirty: &Table,
-        cell: CellRef,
-    ) -> Result<Ranking, ExplainError> {
-        let target = self.repair_target(dcs, dirty, cell)?;
-        let game = self.constraint_game(dcs, dirty, cell, target);
-        let values = trex_shapley::banzhaf_exact(&game).expect("constraint sets are small");
-        Ok(Ranking::new(
-            values
-                .iter()
-                .enumerate()
-                .map(|(i, v)| (Game::player_label(&game, i), *v))
-                .collect(),
-        ))
-    }
-
-    /// Explain the influence of each **cell** via the sampling algorithm of
-    /// §2.3 / Example 2.5 (random-replacement semantics, common random
-    /// numbers, per-player permutation sampling).
-    pub fn explain_cells_sampled(
-        &self,
-        dcs: &[DenialConstraint],
-        dirty: &Table,
-        cell: CellRef,
-        config: SamplingConfig,
-    ) -> Result<CellExplanation, ExplainError> {
-        let target = self.repair_target(dcs, dirty, cell)?;
-        let game = CellGameSampled::new(self.alg, dcs, dirty, cell, target.clone());
-        let estimates = parallel::estimate_all(&game, self.parallel(config));
-        let players = game.players().to_vec();
-        let ranking = Ranking::with_errors(
-            estimates
-                .iter()
-                .enumerate()
-                .map(|(i, e)| {
-                    (
-                        StochasticGame::player_label(&game, i),
-                        e.value,
-                        Some(e.std_error()),
-                    )
-                })
-                .collect(),
-        );
-        Ok(CellExplanation {
-            ranking,
-            values: estimates.iter().map(|e| e.value).collect(),
-            players,
-            target,
-        })
-    }
-
-    /// Adaptive cell explanation (extension): each cell is sampled under
-    /// replacement semantics until its `z`-confidence half-width drops
-    /// below `config.tolerance` or its `config.max_samples` budget is
-    /// spent, on the parallel engine with this explainer's worker count.
-    /// Cells with tight estimates (dummies most of all) stop early; the
-    /// budget concentrates on the contested ones.
+    /// [`Explainer::explain`], with an observer on the masked-cell walks:
+    /// `on_checkpoint` sees the in-progress per-cell estimates (in player
+    /// order) every `checkpoint_every` walks (`0`: once, at the end) and
+    /// can stop the run early ([`AnytimeControl::Stop`]) — e.g. when a
+    /// latency budget expires or the requesting client disconnects. The
+    /// other games have no intermediate state to show: they never call
+    /// the observer and always finish.
     ///
-    /// Returns the explanation plus one flag per player cell: did that
-    /// cell's estimate converge within budget? Deterministic per
-    /// `config.seed` at any thread count; per-player seeds are laddered
-    /// exactly like [`Explainer::explain_cells_sampled`]'s.
-    pub fn explain_cells_adaptive(
+    /// Determinism contract: a run that finishes returns exactly what
+    /// [`Explainer::explain`] returns — checkpointing never perturbs the
+    /// sample stream. A stopped run (`finished == false`) returns the
+    /// estimates of its last checkpoint, which equal a finished run with
+    /// that smaller budget.
+    pub fn explain_anytime(
         &self,
         dcs: &[DenialConstraint],
         dirty: &Table,
-        cell: CellRef,
-        config: AdaptiveConfig,
-    ) -> Result<(CellExplanation, Vec<bool>), ExplainError> {
-        let target = self.repair_target(dcs, dirty, cell)?;
-        let game = CellGameSampled::new(self.alg, dcs, dirty, cell, target.clone());
-        let players = game.players().to_vec();
-        let (estimates, converged): (Vec<_>, Vec<_>) = parallel::estimate_all_adaptive(
-            &game,
-            config.tolerance,
-            config.z,
-            config.batch,
-            config.max_samples,
-            config.seed,
-            self.threads(),
-        )
-        .into_iter()
-        .unzip();
-        let ranking = Ranking::with_errors(
-            estimates
-                .iter()
-                .enumerate()
-                .map(|(i, e)| {
-                    (
-                        StochasticGame::player_label(&game, i),
-                        e.value,
-                        Some(e.std_error()),
-                    )
-                })
-                .collect(),
-        );
-        Ok((
-            CellExplanation {
-                ranking,
-                values: estimates.iter().map(|e| e.value).collect(),
-                players,
-                target,
-            },
-            converged,
-        ))
-    }
-
-    /// Explain cells with the **masked** (null / labeled-null) semantics of
-    /// the Shapley definition in §2.2, estimated by shared permutation
-    /// walks (`config.samples` permutations, each contributing one marginal
-    /// sample to every cell). Deterministic per seed.
-    pub fn explain_cells_masked(
-        &self,
-        dcs: &[DenialConstraint],
-        dirty: &Table,
-        cell: CellRef,
-        mode: MaskMode,
-        config: SamplingConfig,
-    ) -> Result<CellExplanation, ExplainError> {
-        let target = self.repair_target(dcs, dirty, cell)?;
-        let game = self.masked_game(dcs, dirty, cell, target.clone(), mode);
-        let estimates = parallel::estimate_all_walk(&game, self.parallel(config));
-        let players = game.players().to_vec();
-        let ranking = Ranking::with_errors(
-            estimates
-                .iter()
-                .enumerate()
-                .map(|(i, e)| (Game::player_label(&game, i), e.value, Some(e.std_error())))
-                .collect(),
-        );
-        Ok(CellExplanation {
-            ranking,
-            values: estimates.iter().map(|e| e.value).collect(),
-            players,
-            target,
-        })
-    }
-
-    /// Anytime variant of [`Explainer::explain_cells_masked`]: the same
-    /// shared-permutation-walk estimator, but `on_checkpoint` observes the
-    /// in-progress estimates every `checkpoint_every` walks and can stop
-    /// the run early ([`AnytimeControl::Stop`]) — e.g. when a latency
-    /// budget expires or the requesting client disconnects.
-    ///
-    /// Determinism contract: a run that completes (`finished == true`)
-    /// returns exactly what [`Explainer::explain_cells_masked`] returns for
-    /// the same seed — checkpointing never perturbs the sample stream. A
-    /// stopped run returns the estimates of its last checkpoint, which
-    /// equal a completed run with that smaller budget.
-    ///
-    /// The checkpoint's `estimates` are in player order, index-aligned with
-    /// the returned explanation's `players`.
-    #[allow(clippy::too_many_arguments)] // mirrors explain_cells_masked + the anytime pair
-    pub fn explain_cells_masked_anytime(
-        &self,
-        dcs: &[DenialConstraint],
-        dirty: &Table,
-        cell: CellRef,
-        mode: MaskMode,
-        config: SamplingConfig,
+        req: &ExplainRequest,
         checkpoint_every: usize,
         on_checkpoint: impl FnMut(&AnytimeCheckpoint<'_>) -> AnytimeControl,
-    ) -> Result<(CellExplanation, bool), ExplainError> {
+    ) -> Result<Explanation, ExplainError> {
+        let cell = req.cell;
         let target = self.repair_target(dcs, dirty, cell)?;
-        let game = self.masked_game(dcs, dirty, cell, target.clone(), mode);
-        let (estimates, finished) = parallel::estimate_all_walk_anytime(
-            &game,
-            self.parallel(config),
-            checkpoint_every,
-            on_checkpoint,
-        );
-        let players = game.players().to_vec();
-        let ranking = Ranking::with_errors(
-            estimates
-                .iter()
-                .enumerate()
-                .map(|(i, e)| (Game::player_label(&game, i), e.value, Some(e.std_error())))
-                .collect(),
-        );
-        Ok((
-            CellExplanation {
-                ranking,
-                values: estimates.iter().map(|e| e.value).collect(),
-                players,
-                target,
-            },
-            finished,
-        ))
-    }
-
-    /// Exact cell explanation (subset enumeration) under masked semantics —
-    /// only for tiny tables (≤ [`trex_shapley::MAX_EXACT_PLAYERS`] player
-    /// cells), used by tests and the convergence experiment as ground
-    /// truth.
-    pub fn explain_cells_exact(
-        &self,
-        dcs: &[DenialConstraint],
-        dirty: &Table,
-        cell: CellRef,
-        mode: MaskMode,
-    ) -> Result<CellExplanation, ExplainError> {
-        let target = self.repair_target(dcs, dirty, cell)?;
-        let game = self.masked_game(dcs, dirty, cell, target.clone(), mode);
-        let players = game.players().to_vec();
-        if players.len() > trex_shapley::MAX_EXACT_PLAYERS {
-            return Err(ExplainError::TooManyCells {
-                players: players.len(),
-                limit: trex_shapley::MAX_EXACT_PLAYERS,
-            });
+        let seed = self.cfg.seed().unwrap_or(0);
+        let threads = self.cfg.threads();
+        match req.players {
+            Players::Constraints => {
+                let mut game = ConstraintGame::with_oracle(
+                    self.build_oracle(),
+                    dcs,
+                    dirty,
+                    cell,
+                    target.clone(),
+                );
+                // Scan-cost estimates only pay off when batches form.
+                if self.cfg.oracle_batch().is_some() || self.backend.is_some() {
+                    game = game.with_dc_costs(trex_constraints::scan_cost_estimates(dcs, dirty));
+                }
+                let values = shapley_exact(&game).expect("constraint sets are small");
+                let exact: Vec<(String, Rational)> = shapley_exact_rational(&game)
+                    .expect("constraint sets are small")
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, r)| (Game::player_label(&game, i), r))
+                    .collect();
+                let ranking = Ranking::new(
+                    exact
+                        .iter()
+                        .zip(&values)
+                        .map(|((label, _), v)| (label.clone(), *v))
+                        .collect(),
+                );
+                Ok(Explanation {
+                    target,
+                    ranking,
+                    values,
+                    players: Vec::new(),
+                    exact,
+                    converged: Vec::new(),
+                    finished: true,
+                    oracle: game.oracle_stats(),
+                    batches: game.oracle_batch_stats(),
+                })
+            }
+            Players::MaskedCells { mode, walks } => {
+                let game = CellGameMasked::with_oracle(
+                    self.build_oracle(),
+                    dcs,
+                    dirty,
+                    cell,
+                    target.clone(),
+                    mode,
+                );
+                let (estimates, finished) = parallel::estimate_all_walk_anytime(
+                    &game,
+                    ParallelConfig::new(walks, seed, threads),
+                    checkpoint_every,
+                    on_checkpoint,
+                );
+                Ok(Explanation {
+                    finished,
+                    oracle: game.oracle_stats(),
+                    batches: game.oracle_batch_stats(),
+                    ..cell_explanation(dirty, target, game.players().to_vec(), &estimates)
+                })
+            }
+            Players::ReplacedCells { samples } => {
+                let game = CellGameSampled::new(self.alg, dcs, dirty, cell, target.clone());
+                let estimates =
+                    parallel::estimate_all(&game, ParallelConfig::new(samples, seed, threads));
+                Ok(cell_explanation(
+                    dirty,
+                    target,
+                    game.players().to_vec(),
+                    &estimates,
+                ))
+            }
+            Players::AdaptiveCells(a) => {
+                let game = CellGameSampled::new(self.alg, dcs, dirty, cell, target.clone());
+                let (estimates, converged): (Vec<_>, Vec<_>) = parallel::estimate_all_adaptive(
+                    &game,
+                    a.tolerance,
+                    a.z,
+                    a.batch,
+                    a.max_samples,
+                    seed,
+                    threads,
+                )
+                .into_iter()
+                .unzip();
+                Ok(Explanation {
+                    converged,
+                    ..cell_explanation(dirty, target, game.players().to_vec(), &estimates)
+                })
+            }
         }
-        let values = shapley_exact(&game).expect("player count checked");
-        let ranking = Ranking::new(
-            values
-                .iter()
-                .enumerate()
-                .map(|(i, v)| (Game::player_label(&game, i), *v))
-                .collect(),
-        );
-        Ok(CellExplanation {
-            ranking,
-            values,
-            players,
-            target,
-        })
     }
 }
 
@@ -657,7 +450,25 @@ mod tests {
     use super::*;
     use trex_datagen::laliga;
     use trex_repair::NoOpRepair;
-    use trex_table::{AttrId, TableBuilder};
+    use trex_table::AttrId;
+
+    fn ask(cell: CellRef, players: Players) -> ExplainRequest {
+        ExplainRequest { cell, players }
+    }
+
+    fn masked(cell: CellRef, walks: usize) -> ExplainRequest {
+        ask(
+            cell,
+            Players::MaskedCells {
+                mode: MaskMode::Null,
+                walks,
+            },
+        )
+    }
+
+    fn seeded(seed: u64) -> ExecConfig {
+        ExecConfig::new().with_seed(seed)
+    }
 
     #[test]
     fn constraint_explanation_matches_figure_1() {
@@ -665,9 +476,8 @@ mod tests {
         let dcs = laliga::constraints();
         let alg = laliga::algorithm1();
         let ex = Explainer::new(&alg);
-        let out = ex
-            .explain_constraints(&dcs, &dirty, laliga::cell_of_interest(&dirty))
-            .unwrap();
+        let req = ask(laliga::cell_of_interest(&dirty), Players::Constraints);
+        let out = ex.explain(&dcs, &dirty, &req).unwrap();
         assert_eq!(out.target, Value::str("Spain"));
         // Ranking: C3 first, C4 last with value 0.
         assert_eq!(out.ranking.top().unwrap().label, "C3");
@@ -687,6 +497,13 @@ mod tests {
                 ("C4", "0".to_string()),
             ]
         );
+        // The float values follow constraint order; the game has no player
+        // cells, no convergence flags, and always finishes.
+        assert_eq!(out.values.len(), 4);
+        assert!((out.values[2] - 2.0 / 3.0).abs() < 1e-12);
+        assert!(out.players.is_empty() && out.converged.is_empty());
+        assert!(out.finished);
+        assert!(out.oracle.misses > 0, "{:?}", out.oracle);
     }
 
     #[test]
@@ -697,7 +514,9 @@ mod tests {
         let ex = Explainer::new(&alg);
         // t1[Team] is never repaired.
         let cell = CellRef::new(0, AttrId(0));
-        let err = ex.explain_constraints(&dcs, &dirty, cell).unwrap_err();
+        let err = ex
+            .explain(&dcs, &dirty, &ask(cell, Players::Constraints))
+            .unwrap_err();
         assert!(matches!(err, ExplainError::CellNotRepaired { .. }));
     }
 
@@ -707,9 +526,8 @@ mod tests {
         let dcs = laliga::constraints();
         let alg = laliga::algorithm1();
         let ex = Explainer::new(&alg);
-        let err = ex
-            .explain_constraints(&dcs, &dirty, CellRef::new(99, AttrId(0)))
-            .unwrap_err();
+        let req = ask(CellRef::new(99, AttrId(0)), Players::Constraints);
+        let err = ex.explain(&dcs, &dirty, &req).unwrap_err();
         assert!(matches!(err, ExplainError::CellOutOfRange { .. }));
     }
 
@@ -718,9 +536,8 @@ mod tests {
         let dirty = laliga::dirty_table();
         let dcs = laliga::constraints();
         let ex = Explainer::new(&NoOpRepair);
-        let err = ex
-            .explain_constraints(&dcs, &dirty, laliga::cell_of_interest(&dirty))
-            .unwrap_err();
+        let req = ask(laliga::cell_of_interest(&dirty), Players::Constraints);
+        let err = ex.explain(&dcs, &dirty, &req).unwrap_err();
         assert!(matches!(err, ExplainError::CellNotRepaired { .. }));
     }
 
@@ -736,18 +553,12 @@ mod tests {
         let dirty = laliga::dirty_table();
         let dcs = laliga::constraints();
         let alg = laliga::algorithm1();
-        let ex = Explainer::new(&alg);
-        let out = ex
-            .explain_cells_sampled(
-                &dcs,
-                &dirty,
-                laliga::cell_of_interest(&dirty),
-                SamplingConfig {
-                    samples: 800,
-                    seed: 7,
-                },
-            )
-            .unwrap();
+        let ex = Explainer::new(&alg).with_config(seeded(7));
+        let req = ask(
+            laliga::cell_of_interest(&dirty),
+            Players::ReplacedCells { samples: 800 },
+        );
+        let out = ex.explain(&dcs, &dirty, &req).unwrap();
         // Example 1.1: t1[Place] has no influence — exactly zero (no
         // constraint path from Place to Country under any replacement).
         let place = out.ranking.get("t1[Place]").unwrap();
@@ -771,6 +582,8 @@ mod tests {
                 );
             }
         }
+        // Replacement draws query the algorithm directly: no oracle.
+        assert_eq!(out.oracle, OracleStats::default());
     }
 
     #[test]
@@ -783,18 +596,9 @@ mod tests {
         let dirty = laliga::dirty_table();
         let dcs = laliga::constraints();
         let alg = laliga::algorithm1();
-        let ex = Explainer::new(&alg);
+        let ex = Explainer::new(&alg).with_config(seeded(3));
         let out = ex
-            .explain_cells_masked(
-                &dcs,
-                &dirty,
-                laliga::cell_of_interest(&dirty),
-                MaskMode::Null,
-                SamplingConfig {
-                    samples: 600,
-                    seed: 3,
-                },
-            )
+            .explain(&dcs, &dirty, &masked(laliga::cell_of_interest(&dirty), 600))
             .unwrap();
         assert_eq!(out.ranking.top().unwrap().label, "t5[League]");
         assert_eq!(out.ranking.get("t1[Place]").unwrap().value, 0.0);
@@ -808,110 +612,14 @@ mod tests {
         let dirty = laliga::dirty_table();
         let dcs = laliga::constraints();
         let alg = laliga::algorithm1();
-        let ex = Explainer::new(&alg);
+        let ex = Explainer::new(&alg).with_config(seeded(11));
         let out = ex
-            .explain_cells_masked(
-                &dcs,
-                &dirty,
-                laliga::cell_of_interest(&dirty),
-                MaskMode::Null,
-                SamplingConfig {
-                    samples: 300,
-                    seed: 11,
-                },
-            )
+            .explain(&dcs, &dirty, &masked(laliga::cell_of_interest(&dirty), 300))
             .unwrap();
         assert_eq!(out.ranking.top().unwrap().label, "t5[League]");
         assert_eq!(out.players.len(), 35);
         assert_eq!(out.values.len(), 35);
-    }
-
-    #[test]
-    fn exact_cell_explanation_on_a_tiny_table() {
-        // 2x3 table: 5 player cells — exact enumeration feasible.
-        let t = TableBuilder::new()
-            .str_columns(["League", "Country", "Pad"])
-            .str_row(["L", "Spain", "p"])
-            .str_row(["L", "España", "q"])
-            .build();
-        let dcs =
-            trex_constraints::parse_dcs("C3: !(t1.League = t2.League & t1.Country != t2.Country)")
-                .unwrap();
-        let alg = trex_repair::RuleRepair::new(vec![trex_repair::Rule::new(
-            "C3",
-            trex_repair::FixAction::MostCommon {
-                attr: "Country".into(),
-            },
-        )]);
-        let ex = Explainer::new(&alg);
-        let cell = CellRef::new(1, t.schema().id("Country"));
-        let out = ex
-            .explain_cells_exact(&dcs, &t, cell, MaskMode::Null)
-            .unwrap();
-        assert_eq!(out.target, Value::str("Spain"));
-        // The three cells that matter: t1[League], t1[Country], t2[League].
-        assert!(out.ranking.get("t1[League]").unwrap().value > 0.0);
-        assert!(out.ranking.get("t1[Country]").unwrap().value > 0.0);
-        assert!(out.ranking.get("t2[League]").unwrap().value > 0.0);
-        // Pad cells are dummies.
-        assert_eq!(out.ranking.get("t1[Pad]").unwrap().value, 0.0);
-        assert_eq!(out.ranking.get("t2[Pad]").unwrap().value, 0.0);
-        // Efficiency: the grand coalition repairs the cell.
-        assert!((out.values.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn exact_cell_explanation_rejects_large_tables() {
-        let dirty = laliga::dirty_table();
-        let dcs = laliga::constraints();
-        let alg = laliga::algorithm1();
-        let ex = Explainer::new(&alg);
-        let err = ex
-            .explain_cells_exact(
-                &dcs,
-                &dirty,
-                laliga::cell_of_interest(&dirty),
-                MaskMode::Null,
-            )
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            ExplainError::TooManyCells { players: 35, .. }
-        ));
-    }
-
-    #[test]
-    fn constraint_interactions_show_c1_c2_complementarity() {
-        let dirty = laliga::dirty_table();
-        let dcs = laliga::constraints();
-        let alg = laliga::algorithm1();
-        let ex = Explainer::new(&alg);
-        let (labels, m) = ex
-            .constraint_interactions(&dcs, &dirty, laliga::cell_of_interest(&dirty))
-            .unwrap();
-        assert_eq!(labels, vec!["C1", "C2", "C3", "C4"]);
-        assert!(m[0][1] > 0.0, "C1×C2 complementary: {}", m[0][1]);
-        assert!(m[0][2] < 0.0, "C1×C3 substitutes: {}", m[0][2]);
-        assert_eq!(m[0][3], 0.0, "C4 is a dummy");
-        assert_eq!(m[0][1], m[1][0], "matrix symmetric");
-    }
-
-    #[test]
-    fn constraint_banzhaf_agrees_on_the_ordering() {
-        let dirty = laliga::dirty_table();
-        let dcs = laliga::constraints();
-        let alg = laliga::algorithm1();
-        let ex = Explainer::new(&alg);
-        let bz = ex
-            .constraint_banzhaf(&dcs, &dirty, laliga::cell_of_interest(&dirty))
-            .unwrap();
-        // Same ordering as Shapley: C3 ≻ C1 = C2 ≻ C4, with the known
-        // exact Banzhaf values (3/4, 1/4, 1/4, 0).
-        assert_eq!(bz.top().unwrap().label, "C3");
-        assert!((bz.get("C3").unwrap().value - 0.75).abs() < 1e-12);
-        assert!((bz.get("C1").unwrap().value - 0.25).abs() < 1e-12);
-        assert!((bz.get("C2").unwrap().value - 0.25).abs() < 1e-12);
-        assert_eq!(bz.get("C4").unwrap().value, 0.0);
+        assert!(out.exact.is_empty() && out.converged.is_empty());
     }
 
     #[test]
@@ -919,20 +627,17 @@ mod tests {
         let dirty = laliga::dirty_table();
         let dcs = laliga::constraints();
         let alg = laliga::algorithm1();
-        let cell = laliga::cell_of_interest(&dirty);
-        let cfg = SamplingConfig {
-            samples: 600,
-            seed: 3,
-        };
+        let req = masked(laliga::cell_of_interest(&dirty), 600);
         let run = |threads: usize| {
             Explainer::new(&alg)
-                .with_config(ExecConfig::new().with_threads(threads))
-                .explain_cells_masked(&dcs, &dirty, cell, MaskMode::Null, cfg)
+                .with_config(seeded(3).with_threads(threads))
+                .explain(&dcs, &dirty, &req)
                 .unwrap()
         };
         // threads = 1 reproduces the serial estimates bit for bit.
         let serial = Explainer::new(&alg)
-            .explain_cells_masked(&dcs, &dirty, cell, MaskMode::Null, cfg)
+            .with_config(seeded(3))
+            .explain(&dcs, &dirty, &req)
             .unwrap();
         let one = run(1);
         assert_eq!(serial.values, one.values);
@@ -949,22 +654,21 @@ mod tests {
         let dirty = laliga::dirty_table();
         let dcs = laliga::constraints();
         let alg = laliga::algorithm1();
-        let cell = laliga::cell_of_interest(&dirty);
-        let config = AdaptiveConfig {
-            tolerance: 0.08,
-            batch: 40,
-            max_samples: 400,
-            ..AdaptiveConfig::default()
-        };
+        let req = ask(
+            laliga::cell_of_interest(&dirty),
+            Players::AdaptiveCells(AdaptiveConfig {
+                tolerance: 0.08,
+                batch: 40,
+                max_samples: 400,
+                ..AdaptiveConfig::default()
+            }),
+        );
         let ex = Explainer::new(&alg).with_config(ExecConfig::new().with_threads(2));
-        let (a, conv_a) = ex
-            .explain_cells_adaptive(&dcs, &dirty, cell, config)
-            .unwrap();
-        let (b, conv_b) = ex
-            .explain_cells_adaptive(&dcs, &dirty, cell, config)
-            .unwrap();
+        let a = ex.explain(&dcs, &dirty, &req).unwrap();
+        let b = ex.explain(&dcs, &dirty, &req).unwrap();
         assert_eq!(a.values, b.values, "deterministic per seed");
-        assert_eq!(conv_a, conv_b);
+        assert_eq!(a.converged, b.converged);
+        assert_eq!(a.converged.len(), a.players.len());
         // t1[Place] is a dummy: zero variance, so it converges in the
         // minimum number of rounds with a zero estimate.
         let place = a.ranking.get("t1[Place]").unwrap();
@@ -974,20 +678,13 @@ mod tests {
             .iter()
             .position(|c| *c == CellRef::new(0, dirty.schema().id("Place")))
             .unwrap();
-        assert!(conv_a[place_idx], "dummy cells stop early");
-    }
-
-    #[test]
-    fn explainer_config_accessors_and_defaults() {
-        let alg = laliga::algorithm1();
-        assert_eq!(Explainer::new(&alg).threads(), 1);
-        assert_eq!(Explainer::new(&alg).oracle_capacity(), None);
-        assert_eq!(Explainer::new(&alg).config(), ExecConfig::default());
-        let cfg = ExecConfig::new().with_threads(8).with_oracle_cap(64);
-        let ex = Explainer::new(&alg).with_config(cfg);
-        assert_eq!(ex.threads(), 8);
-        assert_eq!(ex.oracle_capacity(), Some(64));
-        assert_eq!(ex.config(), cfg);
+        assert!(a.converged[place_idx], "dummy cells stop early");
+        // The seed is the execution configuration's.
+        let reseeded = Explainer::new(&alg)
+            .with_config(seeded(5))
+            .explain(&dcs, &dirty, &req)
+            .unwrap();
+        assert_ne!(a.values, reseeded.values);
     }
 
     #[test]
@@ -999,24 +696,17 @@ mod tests {
         let dcs = laliga::constraints();
         let alg = laliga::algorithm1();
         let cell = laliga::cell_of_interest(&dirty);
-        let cfg = SamplingConfig {
-            samples: 300,
-            seed: 3,
-        };
-        let reference_cons = Explainer::new(&alg)
-            .explain_constraints(&dcs, &dirty, cell)
-            .unwrap();
-        let reference_cells = Explainer::new(&alg)
-            .explain_cells_masked(&dcs, &dirty, cell, MaskMode::Null, cfg)
-            .unwrap();
+        let cons = ask(cell, Players::Constraints);
+        let cells = masked(cell, 300);
+        let reference = Explainer::new(&alg).with_config(seeded(3));
+        let reference_cons = reference.explain(&dcs, &dirty, &cons).unwrap();
+        let reference_cells = reference.explain(&dcs, &dirty, &cells).unwrap();
         for capacity in [0usize, 3, 17, 1 << 20] {
-            let ex = Explainer::new(&alg).with_config(ExecConfig::new().with_oracle_cap(capacity));
-            let cons = ex.explain_constraints(&dcs, &dirty, cell).unwrap();
-            assert_eq!(cons.exact, reference_cons.exact, "capacity {capacity}");
-            let cells = ex
-                .explain_cells_masked(&dcs, &dirty, cell, MaskMode::Null, cfg)
-                .unwrap();
-            assert_eq!(cells.values, reference_cells.values, "capacity {capacity}");
+            let ex = Explainer::new(&alg).with_config(seeded(3).with_oracle_cap(capacity));
+            let got = ex.explain(&dcs, &dirty, &cons).unwrap();
+            assert_eq!(got.exact, reference_cons.exact, "capacity {capacity}");
+            let got = ex.explain(&dcs, &dirty, &cells).unwrap();
+            assert_eq!(got.values, reference_cells.values, "capacity {capacity}");
         }
     }
 
@@ -1029,33 +719,22 @@ mod tests {
         let dcs = laliga::constraints();
         let alg = laliga::algorithm1();
         let cell = laliga::cell_of_interest(&dirty);
-        let cfg = SamplingConfig {
-            samples: 120,
-            seed: 3,
-        };
-        let reference_cons = Explainer::new(&alg)
-            .explain_constraints(&dcs, &dirty, cell)
-            .unwrap();
-        let reference_cells = Explainer::new(&alg)
-            .explain_cells_masked(&dcs, &dirty, cell, MaskMode::Null, cfg)
-            .unwrap();
+        let cons = ask(cell, Players::Constraints);
+        let cells = masked(cell, 120);
+        let reference = Explainer::new(&alg).with_config(seeded(3));
+        let reference_cons = reference.explain(&dcs, &dirty, &cons).unwrap();
+        let reference_cells = reference.explain(&dcs, &dirty, &cells).unwrap();
         let remote =
             trex_repair::MockRemoteRepair::mock(laliga::algorithm1(), std::time::Duration::ZERO);
         for batch in [1usize, 7, 64] {
             let ex = Explainer::new(&alg)
-                .with_config(ExecConfig::new().with_oracle_batch(batch))
+                .with_config(seeded(3).with_oracle_batch(batch))
                 .with_oracle_backend(&remote);
-            assert_eq!(ex.config().oracle_batch(), Some(batch));
-            assert_eq!(ex.oracle_backend().unwrap().name(), "remote(algorithm1)");
-            let (cons, _, batch_stats) = ex
-                .explain_constraints_with_batch_stats(&dcs, &dirty, cell)
-                .unwrap();
-            assert_eq!(cons.exact, reference_cons.exact, "batch {batch}");
-            assert!(batch_stats.batches > 0, "misses must travel in batches");
-            let cells = ex
-                .explain_cells_masked(&dcs, &dirty, cell, MaskMode::Null, cfg)
-                .unwrap();
-            assert_eq!(cells.values, reference_cells.values, "batch {batch}");
+            let got = ex.explain(&dcs, &dirty, &cons).unwrap();
+            assert_eq!(got.exact, reference_cons.exact, "batch {batch}");
+            assert!(got.batches.batches > 0, "misses must travel in batches");
+            let got = ex.explain(&dcs, &dirty, &cells).unwrap();
+            assert_eq!(got.values, reference_cells.values, "batch {batch}");
         }
         assert!(remote.calls() > 0, "the backend answered real queries");
     }
@@ -1063,47 +742,26 @@ mod tests {
     #[test]
     fn explanations_are_serial_identical_at_any_thread_count() {
         // The sampling contract end to end: the multi-threaded explanation
-        // *is* the single-threaded one.
+        // *is* the single-threaded one, for the walk and the
+        // replacement-semantics per-player estimator alike.
         let dirty = laliga::dirty_table();
         let dcs = laliga::constraints();
         let alg = laliga::algorithm1();
         let cell = laliga::cell_of_interest(&dirty);
-        let cfg = SamplingConfig {
-            samples: 200,
-            seed: 3,
-        };
-        let run = |threads: usize| {
-            Explainer::new(&alg)
-                .with_config(ExecConfig::new().with_threads(threads))
-                .explain_cells_masked(&dcs, &dirty, cell, MaskMode::Null, cfg)
-                .unwrap()
-        };
-        let serial = run(1);
-        for threads in [2usize, 4] {
-            assert_eq!(serial.values, run(threads).values, "threads {threads}");
-        }
-        // Same for the replacement-semantics per-player estimator.
-        let run_sampled = |threads: usize| {
-            Explainer::new(&alg)
-                .with_config(ExecConfig::new().with_threads(threads))
-                .explain_cells_sampled(
-                    &dcs,
-                    &dirty,
-                    cell,
-                    SamplingConfig {
-                        samples: 60,
-                        seed: 7,
-                    },
-                )
-                .unwrap()
-        };
-        let serial = run_sampled(1);
-        for threads in [2usize, 4] {
-            assert_eq!(
-                serial.values,
-                run_sampled(threads).values,
-                "threads {threads}"
-            );
+        for (req, seed) in [
+            (masked(cell, 200), 3),
+            (ask(cell, Players::ReplacedCells { samples: 60 }), 7),
+        ] {
+            let run = |threads: usize| {
+                Explainer::new(&alg)
+                    .with_config(seeded(seed).with_threads(threads))
+                    .explain(&dcs, &dirty, &req)
+                    .unwrap()
+            };
+            let serial = run(1);
+            for threads in [2usize, 4] {
+                assert_eq!(serial.values, run(threads).values, "{req:?} {threads}");
+            }
         }
     }
 
@@ -1112,24 +770,26 @@ mod tests {
         let dirty = laliga::dirty_table();
         let dcs = laliga::constraints();
         let alg = laliga::algorithm1();
-        let cell = laliga::cell_of_interest(&dirty);
-        let config = AdaptiveConfig {
-            tolerance: 0.1,
-            batch: 30,
-            max_samples: 240,
-            ..AdaptiveConfig::default()
-        };
+        let req = ask(
+            laliga::cell_of_interest(&dirty),
+            Players::AdaptiveCells(AdaptiveConfig {
+                tolerance: 0.1,
+                batch: 30,
+                max_samples: 240,
+                ..AdaptiveConfig::default()
+            }),
+        );
         let run = |threads: usize| {
             Explainer::new(&alg)
                 .with_config(ExecConfig::new().with_threads(threads))
-                .explain_cells_adaptive(&dcs, &dirty, cell, config)
+                .explain(&dcs, &dirty, &req)
                 .unwrap()
         };
-        let (serial, serial_conv) = run(1);
+        let serial = run(1);
         for threads in [2usize, 4] {
-            let (multi, multi_conv) = run(threads);
+            let multi = run(threads);
             assert_eq!(serial.values, multi.values, "threads {threads}");
-            assert_eq!(serial_conv, multi_conv, "threads {threads}");
+            assert_eq!(serial.converged, multi.converged, "threads {threads}");
         }
     }
 
@@ -1138,11 +798,8 @@ mod tests {
         let cell = CellRef::new(4, AttrId(2));
         let e1 = ExplainError::CellNotRepaired { cell };
         assert!(e1.to_string().contains("not repaired"));
-        let e2 = ExplainError::TooManyCells {
-            players: 100,
-            limit: 24,
-        };
-        assert!(e2.to_string().contains("100"));
+        let e2 = ExplainError::CellOutOfRange { cell };
+        assert!(e2.to_string().contains("out of range"));
     }
 
     #[test]
@@ -1150,41 +807,62 @@ mod tests {
         let dirty = laliga::dirty_table();
         let dcs = laliga::constraints();
         let alg = laliga::algorithm1();
-        let cell = laliga::cell_of_interest(&dirty);
-        let config = SamplingConfig {
-            samples: 150,
-            seed: 9,
-        };
+        let req = masked(laliga::cell_of_interest(&dirty), 150);
         let serial = Explainer::new(&alg)
-            .explain_cells_masked(&dcs, &dirty, cell, MaskMode::Null, config)
+            .with_config(seeded(9))
+            .explain(&dcs, &dirty, &req)
             .unwrap();
         for threads in [1usize, 2] {
-            let ex = Explainer::new(&alg).with_config(ExecConfig::new().with_threads(threads));
-            let batch = ex
-                .explain_cells_masked(&dcs, &dirty, cell, MaskMode::Null, config)
-                .unwrap();
+            let ex = Explainer::new(&alg).with_config(seeded(9).with_threads(threads));
+            let batch = ex.explain(&dcs, &dirty, &req).unwrap();
             assert_eq!(batch.values, serial.values, "threads {threads}");
             let mut checkpoints = 0usize;
-            let (anytime, finished) = ex
-                .explain_cells_masked_anytime(
-                    &dcs,
-                    &dirty,
-                    cell,
-                    MaskMode::Null,
-                    config,
-                    40,
-                    |cp| {
-                        checkpoints += 1;
-                        assert_eq!(cp.estimates.len(), batch.players.len());
-                        assert!(cp.estimates.iter().all(|e| e.value.is_finite()));
-                        trex_shapley::AnytimeControl::Continue
-                    },
-                )
+            let anytime = ex
+                .explain_anytime(&dcs, &dirty, &req, 40, |cp| {
+                    checkpoints += 1;
+                    assert_eq!(cp.estimates.len(), batch.players.len());
+                    assert!(cp.estimates.iter().all(|e| e.value.is_finite()));
+                    AnytimeControl::Continue
+                })
                 .unwrap();
-            assert!(finished, "threads {threads}");
+            assert!(anytime.finished, "threads {threads}");
             assert!(checkpoints >= 3, "threads {threads}: {checkpoints}");
             assert_eq!(anytime.values, batch.values, "threads {threads}");
             assert_eq!(anytime.players, batch.players, "threads {threads}");
         }
+    }
+
+    #[test]
+    fn only_the_walk_game_reports_checkpoints_or_stops_early() {
+        let dirty = laliga::dirty_table();
+        let dcs = laliga::constraints();
+        let alg = laliga::algorithm1();
+        let cell = laliga::cell_of_interest(&dirty);
+        let ex = Explainer::new(&alg);
+        for players in [
+            Players::Constraints,
+            Players::ReplacedCells { samples: 20 },
+            Players::AdaptiveCells(AdaptiveConfig {
+                max_samples: 100,
+                ..AdaptiveConfig::default()
+            }),
+        ] {
+            let out = ex
+                .explain_anytime(&dcs, &dirty, &ask(cell, players), 1, |_| {
+                    panic!("{players:?} has no checkpoints")
+                })
+                .unwrap();
+            assert!(out.finished, "{players:?}");
+        }
+        // A walk stopped at its first checkpoint equals a finished run with
+        // that budget.
+        let stopped = ex
+            .explain_anytime(&dcs, &dirty, &masked(cell, 100), 25, |_| {
+                AnytimeControl::Stop
+            })
+            .unwrap();
+        assert!(!stopped.finished);
+        let short = ex.explain(&dcs, &dirty, &masked(cell, 25)).unwrap();
+        assert_eq!(stopped.values, short.values);
     }
 }

@@ -290,6 +290,31 @@ pub fn cell_label(table: &Table, cell: CellRef) -> String {
     format!("t{}[{}]", cell.row + 1, table.schema().attr(cell.attr).name)
 }
 
+/// Parse a cell spec in the `tROW.Attr` grammar of [`cell_label`]'s rows
+/// (`t5.Country`, or `5.Country`; 1-based row) against `table`. The error
+/// starts with the quoted spec, so each front end can prefix the name it
+/// was given under (`--cell` on the command line, `cell` over HTTP).
+pub fn parse_cell(table: &Table, spec: &str) -> Result<CellRef, String> {
+    let (row_part, attr_part) = spec
+        .split_once('.')
+        .ok_or_else(|| format!("{spec:?}: expected tROW.Attr"))?;
+    let row_text = row_part.strip_prefix('t').unwrap_or(row_part);
+    let row: usize = row_text
+        .parse()
+        .map_err(|_| format!("{spec:?}: bad row {row_text:?}"))?;
+    if row == 0 || row > table.num_rows() {
+        return Err(format!(
+            "{spec:?}: row {row} out of range 1..={}",
+            table.num_rows()
+        ));
+    }
+    let attr = table
+        .schema()
+        .resolve(attr_part)
+        .ok_or_else(|| format!("{spec:?}: no attribute {attr_part:?}"))?;
+    Ok(CellRef::new(row - 1, attr))
+}
+
 fn label_of(table: &Table, cell: CellRef) -> String {
     cell_label(table, cell)
 }
@@ -594,6 +619,36 @@ mod tests {
     use super::*;
     use trex_datagen::laliga;
     use trex_shapley::{shapley_exact_rational, Rational};
+
+    #[test]
+    fn parse_cell_accepts_both_forms() {
+        let t = trex_table::TableBuilder::new()
+            .str_columns(["Team", "City"])
+            .str_row(["A", "X"])
+            .str_row(["B", "Y"])
+            .build();
+        let c = parse_cell(&t, "t2.City").unwrap();
+        assert_eq!(c, CellRef::new(1, t.schema().id("City")));
+        assert_eq!(cell_label(&t, c), "t2[City]");
+        assert_eq!(
+            parse_cell(&t, "1.Team").unwrap(),
+            CellRef::new(0, t.schema().id("Team"))
+        );
+    }
+
+    #[test]
+    fn parse_cell_rejects_bad_specs() {
+        let t = laliga::dirty_table();
+        for (spec, why) in [
+            ("City", "\"City\": expected tROW.Attr"),
+            ("t0.City", "\"t0.City\": row 0 out of range 1..=6"),
+            ("t7.City", "\"t7.City\": row 7 out of range 1..=6"),
+            ("t1.Nope", "\"t1.Nope\": no attribute \"Nope\""),
+            ("tx.City", "\"tx.City\": bad row \"x\""),
+        ] {
+            assert_eq!(parse_cell(&t, spec).unwrap_err(), why);
+        }
+    }
 
     #[test]
     fn constraint_game_reproduces_example_2_3() {

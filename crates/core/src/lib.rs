@@ -12,23 +12,30 @@
 //! Shapley value:
 //!
 //! ```
-//! use trex::Explainer;
+//! use trex::{ExplainRequest, Explainer, Players};
 //! use trex_datagen::laliga;
 //!
 //! let dirty = laliga::dirty_table();       // Figure 2a
 //! let dcs = laliga::constraints();         // Figure 1 (C1..C4)
 //! let alg = laliga::algorithm1();          // the paper's Algorithm 1
 //!
-//! let explainer = Explainer::new(&alg);
-//! let cell = laliga::cell_of_interest(&dirty);   // t5[Country]
-//! let out = explainer.explain_constraints(&dcs, &dirty, cell).unwrap();
+//! let req = ExplainRequest {
+//!     cell: laliga::cell_of_interest(&dirty),   // t5[Country]
+//!     players: Players::Constraints,
+//! };
+//! let out = Explainer::new(&alg).explain(&dcs, &dirty, &req).unwrap();
 //! assert_eq!(out.ranking.top().unwrap().label, "C3");
 //! assert_eq!(out.exact[2].1.to_string(), "2/3"); // Figure 1's value for C3
 //! ```
 //!
+//! [`Session::explain`] answers the same request over a session's
+//! (editable) inputs; `trex explain` and `trex serve` both go through it.
+//!
 //! Modules:
-//! * [`games`] — the constraint game and the (masked / sampled) cell games;
-//! * [`explain`] — the [`Explainer`] front door;
+//! * [`games`] — the constraint game and the (masked / sampled) cell games,
+//!   and the `tROW.Attr` cell-spec parser ([`parse_cell`]);
+//! * [`explain`] — [`ExplainRequest`], [`Explanation`] and the
+//!   [`Explainer`] that answers one with the other;
 //! * [`ranking`] — sorted Shapley rankings with intensity buckets;
 //! * [`report`] — text renderings of the demo's three screens (Figure 3);
 //! * [`session`] — the interactive repair→explain→edit loop of §4.
@@ -41,11 +48,9 @@ pub mod ranking;
 pub mod report;
 pub mod session;
 
-pub use explain::{
-    AdaptiveConfig, CellExplanation, ConstraintExplanation, ExplainError, Explainer,
-};
+pub use explain::{AdaptiveConfig, ExplainError, ExplainRequest, Explainer, Explanation, Players};
 pub use games::{
-    cell_label, cell_players, CellGameMasked, CellGameSampled, ConstraintGame, MaskMode,
+    cell_label, cell_players, parse_cell, CellGameMasked, CellGameSampled, ConstraintGame, MaskMode,
 };
 pub use ranking::{RankEntry, Ranking, INTENSITY_LEVELS};
 pub use report::{render_explanation_screen, render_input_screen, render_repair_screen};

@@ -10,7 +10,7 @@
 //!    to lowest in terms of their Shapley value", with intensity bars for
 //!    the green shading.
 
-use crate::explain::{CellExplanation, ConstraintExplanation};
+use crate::explain::Explanation;
 use trex_constraints::DenialConstraint;
 use trex_table::{CellChange, CellRef, Table};
 
@@ -78,11 +78,12 @@ pub fn render_repair_screen(dirty: &Table, changes: &[CellChange]) -> String {
     out
 }
 
-/// Screen 3: the explanation — ranked constraints and/or cells.
+/// Screen 3: the explanation — ranked constraints (an explanation of
+/// [`crate::Players::Constraints`]) and/or cells (any cell game).
 pub fn render_explanation_screen(
     cell_label: &str,
-    constraints: Option<&ConstraintExplanation>,
-    cells: Option<&CellExplanation>,
+    constraints: Option<&Explanation>,
+    cells: Option<&Explanation>,
 ) -> String {
     let mut out = String::new();
     out.push_str(&format!("=== T-REx: Explanation for {cell_label} ===\n"));
@@ -118,9 +119,9 @@ pub fn render_explanation_screen(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explain::Explainer;
+    use crate::explain::{ExplainRequest, Explainer, Players};
     use trex_datagen::laliga;
-    use trex_shapley::SamplingConfig;
+    use trex_shapley::ExecConfig;
 
     #[test]
     fn input_screen_lists_table_and_constraints() {
@@ -145,25 +146,24 @@ mod tests {
         assert!(s.contains("2 cell(s) repaired."));
     }
 
-    #[test]
-    fn explanation_screen_shows_both_rankings() {
+    fn explain(players: Players) -> Explanation {
         let dirty = laliga::dirty_table();
         let dcs = laliga::constraints();
         let alg = laliga::algorithm1();
-        let ex = Explainer::new(&alg);
-        let cell = laliga::cell_of_interest(&dirty);
-        let cons = ex.explain_constraints(&dcs, &dirty, cell).unwrap();
-        let cells = ex
-            .explain_cells_sampled(
-                &dcs,
-                &dirty,
-                cell,
-                SamplingConfig {
-                    samples: 50,
-                    seed: 1,
-                },
-            )
-            .unwrap();
+        let req = ExplainRequest {
+            cell: laliga::cell_of_interest(&dirty),
+            players,
+        };
+        Explainer::new(&alg)
+            .with_config(ExecConfig::new().with_seed(1))
+            .explain(&dcs, &dirty, &req)
+            .unwrap()
+    }
+
+    #[test]
+    fn explanation_screen_shows_both_rankings() {
+        let cons = explain(Players::Constraints);
+        let cells = explain(Players::ReplacedCells { samples: 50 });
         let s = render_explanation_screen("t5[Country]", Some(&cons), Some(&cells));
         assert!(s.contains("t5[Country]"));
         assert!(s.contains("C3 = 2/3"));
@@ -173,12 +173,7 @@ mod tests {
 
     #[test]
     fn explanation_screen_with_constraints_only() {
-        let dirty = laliga::dirty_table();
-        let dcs = laliga::constraints();
-        let alg = laliga::algorithm1();
-        let ex = Explainer::new(&alg);
-        let cell = laliga::cell_of_interest(&dirty);
-        let cons = ex.explain_constraints(&dcs, &dirty, cell).unwrap();
+        let cons = explain(Players::Constraints);
         let s = render_explanation_screen("t5[Country]", Some(&cons), None);
         assert!(s.contains("Constraint influence"));
         assert!(!s.contains("Cell influence"));

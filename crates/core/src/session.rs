@@ -5,8 +5,13 @@
 //! again → compare. [`Session`] packages that loop as an owned, mutable
 //! object so example binaries and integration tests can drive exactly the
 //! workflow the demonstration walks the audience through.
+//!
+//! Every explanation goes through one entry point,
+//! [`Session::explain`] (with [`Session::explain_anytime`] for the
+//! streaming observer): an [`ExplainRequest`] plus the request's
+//! [`ExecConfig`]. `trex explain` and `trex serve` both call it.
 
-use crate::explain::{CellExplanation, ConstraintExplanation, ExplainError, Explainer};
+use crate::explain::{ExplainError, ExplainRequest, Explainer, Explanation, Players};
 use crate::games::MaskMode;
 use std::sync::Arc;
 use trex_constraints::{DenialConstraint, ResolveError, Violation};
@@ -54,10 +59,9 @@ impl Session {
     }
 
     /// Apply an execution configuration wholesale: thread count, oracle
-    /// capacity, and batch bound in one value shared with `Explainer` and the
-    /// repair engines. The config's `seed`, if set, is not consumed here —
-    /// explanation methods take their seed from the explicit
-    /// [`SamplingConfig`] argument.
+    /// capacity, batch bound, and seed in one value shared with `Explainer`
+    /// and the repair engines. It is the default every request starts
+    /// from; the server overrides it knob by knob per request.
     ///
     /// Rebuilds the session's shared coalition cache at the config's
     /// oracle capacity ([`ShardedOracle::DEFAULT_CAPACITY`] when unset).
@@ -74,16 +78,6 @@ impl Session {
         self.cfg
     }
 
-    /// The configured sampling worker count.
-    pub fn threads(&self) -> usize {
-        self.cfg.threads()
-    }
-
-    /// The pinned oracle capacity, if any (`None` = the oracle default).
-    pub fn oracle_capacity(&self) -> Option<usize> {
-        self.cfg.oracle_cap()
-    }
-
     /// Route the session's coalition queries through an [`OracleBackend`]
     /// instead of calling the wrapped algorithm inline — e.g. a
     /// [`trex_repair::RemoteRepair`] adapter for a per-call-latency repair
@@ -98,6 +92,11 @@ impl Session {
     /// The installed oracle backend, if any.
     pub fn oracle_backend(&self) -> Option<&dyn OracleBackend> {
         self.backend.as_deref()
+    }
+
+    /// The wrapped repair algorithm.
+    pub fn algorithm(&self) -> &dyn RepairAlgorithm {
+        self.alg.as_ref()
     }
 
     /// The session's shared coalition-answer cache. Every explanation run
@@ -120,33 +119,6 @@ impl Session {
     /// hit-rate telemetry honest about the new inputs.
     pub fn flush_oracle_cache(&self) {
         self.oracle_cache.clear();
-    }
-
-    /// The session's explainer: the wrapped algorithm under the session's
-    /// execution configuration.
-    fn explainer(&self) -> Explainer<'_> {
-        self.explainer_for(&self.cfg)
-    }
-
-    /// An explainer for one request's execution configuration — the
-    /// session default or a per-request override (the server parses
-    /// `?threads=…&seed=…` into an [`ExecConfig`] per request).
-    ///
-    /// The session's shared coalition cache is attached whenever the
-    /// request's oracle capacity agrees with the cache's; a request
-    /// demanding a different capacity gets a private, correctly-sized
-    /// oracle instead (results are identical either way — only memo
-    /// reuse differs).
-    fn explainer_for(&self, exec: &ExecConfig) -> Explainer<'_> {
-        let mut ex = Explainer::new(self.alg.as_ref()).with_config(*exec);
-        if let Some(backend) = self.backend.as_deref() {
-            ex = ex.with_oracle_backend(backend);
-        }
-        let requested = exec.oracle_cap().unwrap_or(ShardedOracle::DEFAULT_CAPACITY);
-        if requested == self.oracle_cache.capacity() {
-            ex = ex.with_oracle_cache(Arc::clone(&self.oracle_cache));
-        }
-        ex
     }
 
     /// The current (possibly user-edited) dirty table.
@@ -188,15 +160,6 @@ impl Session {
         ))
     }
 
-    /// Pre-flight static analysis of the session's constraint program
-    /// against the session table: typecheck, satisfiability, subsumption,
-    /// and the scan-cost plan report. Cheap (no data scan beyond one
-    /// dictionary encoding) — run it before the first repair to catch
-    /// typos and dead constraints early.
-    pub fn analyze(&self) -> trex_constraints::Analysis {
-        trex_constraints::analyze_with_table(&self.dcs, &self.table)
-    }
-
     /// The "Repair" button: run the black box on the current inputs.
     pub fn repair(&mut self) -> RepairResult {
         let result = self.alg.repair(&self.dcs, &self.table);
@@ -207,125 +170,79 @@ impl Session {
         result
     }
 
-    /// The "Explain" button, constraint half: Shapley values of the DCs for
-    /// the repair of `cell`.
-    pub fn explain_constraints(
+    /// The "Explain" button: answer `req` over the session's current
+    /// inputs under the execution configuration `exec` — the session
+    /// default ([`Session::config`]) or a per-request override (the server
+    /// parses `?threads=…&seed=…` into one). The values depend only on
+    /// the request and `exec`'s seed; the other knobs steer resource use.
+    ///
+    /// The session's shared coalition cache answers the request whenever
+    /// `exec`'s oracle capacity agrees with the cache's; a request
+    /// demanding a different capacity gets a private, correctly-sized
+    /// oracle instead (results are identical either way — only memo
+    /// reuse differs).
+    pub fn explain(
         &self,
-        cell: CellRef,
-    ) -> Result<ConstraintExplanation, ExplainError> {
-        self.explainer()
-            .explain_constraints(&self.dcs, &self.table, cell)
-    }
-
-    /// [`Session::explain_constraints`] under a per-request execution
-    /// configuration. Results are independent of the configuration (the
-    /// constraint game is exact); the knobs only steer resource use.
-    pub fn explain_constraints_for(
-        &self,
-        cell: CellRef,
+        req: &ExplainRequest,
         exec: &ExecConfig,
-    ) -> Result<ConstraintExplanation, ExplainError> {
-        self.explainer_for(exec)
-            .explain_constraints(&self.dcs, &self.table, cell)
+    ) -> Result<Explanation, ExplainError> {
+        self.explain_anytime(req, exec, 0, |_| AnytimeControl::Continue)
     }
 
-    /// [`Session::explain_constraints`], also returning the repair-oracle
-    /// cache counters (hits, misses, evictions) the explanation
-    /// accumulated — the cache-pressure telemetry `exp_stress` records.
-    /// The explanation itself is identical at any
-    /// [`ExecConfig::with_oracle_cap`] setting.
-    pub fn explain_constraints_with_stats(
+    /// [`Session::explain`] with an anytime observer on the masked-cell
+    /// walks (see [`Explainer::explain_anytime`]): `on_checkpoint` sees the
+    /// in-progress per-cell estimates every `checkpoint_every` walks and
+    /// can stop the run when a latency budget expires or the requesting
+    /// client goes away. A run that finishes returns bit for bit what
+    /// [`Session::explain`] returns.
+    pub fn explain_anytime(
         &self,
-        cell: CellRef,
-    ) -> Result<(ConstraintExplanation, trex_repair::OracleStats), ExplainError> {
-        self.explainer()
-            .explain_constraints_with_stats(&self.dcs, &self.table, cell)
+        req: &ExplainRequest,
+        exec: &ExecConfig,
+        checkpoint_every: usize,
+        on_checkpoint: impl FnMut(&AnytimeCheckpoint<'_>) -> AnytimeControl,
+    ) -> Result<Explanation, ExplainError> {
+        let mut ex = Explainer::new(self.alg.as_ref()).with_config(*exec);
+        if let Some(backend) = self.backend.as_deref() {
+            ex = ex.with_oracle_backend(backend);
+        }
+        let requested = exec.oracle_cap().unwrap_or(ShardedOracle::DEFAULT_CAPACITY);
+        if requested == self.oracle_cache.capacity() {
+            ex = ex.with_oracle_cache(Arc::clone(&self.oracle_cache));
+        }
+        ex.explain_anytime(&self.dcs, &self.table, req, checkpoint_every, on_checkpoint)
     }
 
-    /// [`Session::explain_constraints_with_stats`], additionally returning
-    /// the oracle's batch-dispatch counters: how many bounded dispatch
-    /// groups [`trex_repair::ShardedOracle::query_keyed_batch`] formed and
-    /// how many cache-missing queries they carried — whether those groups
-    /// were answered inline or by an installed
-    /// [`Session::with_oracle_backend`]. [`ExecConfig::with_oracle_batch`]
-    /// caps the group size.
-    pub fn explain_constraints_with_batch_stats(
-        &self,
-        cell: CellRef,
-    ) -> Result<
-        (
-            ConstraintExplanation,
-            trex_repair::OracleStats,
-            trex_repair::BatchStats,
-        ),
-        ExplainError,
-    > {
-        self.explainer()
-            .explain_constraints_with_batch_stats(&self.dcs, &self.table, cell)
+    /// The constraint explanation of `cell` under the session's
+    /// configuration: [`Session::explain`] with [`Players::Constraints`].
+    /// Kept for trexbench/; remove in the next benchmark PR.
+    pub fn explain_constraints(&self, cell: CellRef) -> Result<Explanation, ExplainError> {
+        let req = ExplainRequest {
+            cell,
+            players: Players::Constraints,
+        };
+        self.explain(&req, &self.cfg)
     }
 
-    /// The "Explain" button, cell half (sampling estimator of §2.3).
-    pub fn explain_cells(
-        &self,
-        cell: CellRef,
-        config: SamplingConfig,
-    ) -> Result<CellExplanation, ExplainError> {
-        self.explainer()
-            .explain_cells_sampled(&self.dcs, &self.table, cell, config)
-    }
-
-    /// Cell explanation under masked (definition) semantics.
-    pub fn explain_cells_masked(
-        &self,
-        cell: CellRef,
-        mode: MaskMode,
-        config: SamplingConfig,
-    ) -> Result<CellExplanation, ExplainError> {
-        self.explainer()
-            .explain_cells_masked(&self.dcs, &self.table, cell, mode, config)
-    }
-
-    /// [`Session::explain_cells_masked`] under a per-request execution
-    /// configuration: the request's thread count sets the parallel
-    /// estimator's wall time (the values depend only on the seed), its
-    /// oracle capacity decides whether the session's shared coalition
-    /// cache is used.
+    /// The masked cell explanation of `cell`, `config.samples` walks seeded
+    /// by `config.seed`: [`Session::explain`] with
+    /// [`Players::MaskedCells`]. Kept for trexbench/; remove in the next
+    /// benchmark PR.
     pub fn explain_cells_masked_for(
         &self,
         cell: CellRef,
         mode: MaskMode,
         config: SamplingConfig,
         exec: &ExecConfig,
-    ) -> Result<CellExplanation, ExplainError> {
-        self.explainer_for(exec)
-            .explain_cells_masked(&self.dcs, &self.table, cell, mode, config)
-    }
-
-    /// Anytime cell explanation: [`Session::explain_cells_masked_for`],
-    /// but `on_checkpoint` observes the in-progress per-cell estimates
-    /// every `checkpoint_every` permutation walks and can stop the run
-    /// ([`AnytimeControl::Stop`]) when a latency budget expires or the
-    /// requesting client goes away. A run that completes (`finished ==
-    /// true`) returns bit-for-bit what [`Session::explain_cells_masked_for`]
-    /// returns for the same seed.
-    pub fn explain_cells_masked_anytime(
-        &self,
-        cell: CellRef,
-        mode: MaskMode,
-        config: SamplingConfig,
-        exec: &ExecConfig,
-        checkpoint_every: usize,
-        on_checkpoint: impl FnMut(&AnytimeCheckpoint<'_>) -> AnytimeControl,
-    ) -> Result<(CellExplanation, bool), ExplainError> {
-        self.explainer_for(exec).explain_cells_masked_anytime(
-            &self.dcs,
-            &self.table,
+    ) -> Result<Explanation, ExplainError> {
+        let req = ExplainRequest {
             cell,
-            mode,
-            config,
-            checkpoint_every,
-            on_checkpoint,
-        )
+            players: Players::MaskedCells {
+                mode,
+                walks: config.samples,
+            },
+        };
+        self.explain(&req, &exec.with_seed(config.seed))
     }
 
     /// User edit: overwrite a cell of the input table ("changing specific
@@ -376,6 +293,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explain::AdaptiveConfig;
     use trex_datagen::laliga;
     use trex_table::Value;
 
@@ -387,15 +305,33 @@ mod tests {
         )
     }
 
+    fn constraints(cell: CellRef) -> ExplainRequest {
+        ExplainRequest {
+            cell,
+            players: Players::Constraints,
+        }
+    }
+
+    fn masked(cell: CellRef, walks: usize) -> ExplainRequest {
+        ExplainRequest {
+            cell,
+            players: Players::MaskedCells {
+                mode: MaskMode::Null,
+                walks,
+            },
+        }
+    }
+
     #[test]
     fn repair_then_explain_loop() {
         let mut s = session();
         let r = s.repair();
         assert_eq!(r.changes.len(), 2);
         let cell = laliga::cell_of_interest(s.table());
-        let cons = s.explain_constraints(cell).unwrap();
+        let cons = s.explain(&constraints(cell), &s.config()).unwrap();
         assert_eq!(cons.ranking.top().unwrap().label, "C3");
         assert_eq!(s.history().len(), 1);
+        assert_eq!(s.algorithm().name(), "algorithm1");
     }
 
     #[test]
@@ -485,17 +421,13 @@ mod tests {
     #[test]
     fn session_threads_do_not_change_explanations() {
         let s = session();
-        assert_eq!(s.threads(), 1);
-        let s = s.with_config(ExecConfig::new().with_threads(2));
-        assert_eq!(s.threads(), 2);
-        let cell = laliga::cell_of_interest(s.table());
-        let cfg = SamplingConfig {
-            samples: 400,
-            seed: 3,
-        };
-        let a = s.explain_cells_masked(cell, MaskMode::Null, cfg).unwrap();
+        assert_eq!(s.config().threads(), 1);
+        let s = s.with_config(ExecConfig::new().with_threads(2).with_seed(3));
+        assert_eq!(s.config().threads(), 2);
+        let req = masked(laliga::cell_of_interest(s.table()), 400);
+        let a = s.explain(&req, &s.config()).unwrap();
         let serial = session()
-            .explain_cells_masked(cell, MaskMode::Null, cfg)
+            .explain(&req, &ExecConfig::new().with_seed(3))
             .unwrap();
         assert_eq!(a.values, serial.values);
         assert_eq!(a.ranking.top().unwrap().label, "t5[League]");
@@ -520,41 +452,39 @@ mod tests {
     fn session_oracle_capacity_preserves_results() {
         let bounded = session().with_config(ExecConfig::new().with_oracle_cap(4));
         let reference = session();
-        assert_eq!(bounded.oracle_capacity(), Some(4));
-        assert_eq!(reference.oracle_capacity(), None);
+        assert_eq!(bounded.config().oracle_cap(), Some(4));
+        assert_eq!(reference.config().oracle_cap(), None);
+        assert_eq!(bounded.oracle_cache().capacity(), 4);
         let cell = laliga::cell_of_interest(bounded.table());
         let cons = bounded.explain_constraints(cell).unwrap();
         let want = reference.explain_constraints(cell).unwrap();
         assert_eq!(cons.exact, want.exact);
-        let cfg = SamplingConfig {
-            samples: 200,
-            seed: 5,
-        };
-        let cells = bounded
-            .explain_cells_masked(cell, MaskMode::Null, cfg)
-            .unwrap();
-        let want = reference
-            .explain_cells_masked(cell, MaskMode::Null, cfg)
-            .unwrap();
+        let req = masked(cell, 200);
+        let exec = ExecConfig::new().with_seed(5);
+        let cells = bounded.explain(&req, &exec.with_oracle_cap(4)).unwrap();
+        let want = reference.explain(&req, &exec).unwrap();
         assert_eq!(cells.values, want.values);
     }
 
     #[test]
-    fn explain_with_stats_reports_oracle_pressure() {
+    fn explanations_report_oracle_pressure() {
         let bounded = session().with_config(ExecConfig::new().with_oracle_cap(4));
         let cell = laliga::cell_of_interest(bounded.table());
-        let (cons, stats) = bounded.explain_constraints_with_stats(cell).unwrap();
+        let cons = bounded.explain_constraints(cell).unwrap();
         // Identical explanation to the unbounded session...
-        let reference = session();
-        let (want, unbounded) = reference.explain_constraints_with_stats(cell).unwrap();
+        let want = session().explain_constraints(cell).unwrap();
         assert_eq!(cons.exact, want.exact);
         // ...but capacity 4 cannot hold the 16 coalition values, so the
         // bounded run must report evictions where the unbounded one
         // reports none.
-        assert!(stats.misses > 0);
-        assert!(stats.evictions > 0, "capacity 4 must evict: {stats:?}");
-        assert_eq!(unbounded.evictions, 0, "{unbounded:?}");
-        assert!(unbounded.hits > 0, "the rational pass re-reads the memo");
+        assert!(cons.oracle.misses > 0);
+        assert!(
+            cons.oracle.evictions > 0,
+            "capacity 4 must evict: {:?}",
+            cons.oracle
+        );
+        assert_eq!(want.oracle.evictions, 0, "{:?}", want.oracle);
+        assert!(want.oracle.hits > 0, "the rational pass re-reads the memo");
     }
 
     #[test]
@@ -572,41 +502,29 @@ mod tests {
         );
         assert!(reference.oracle_backend().is_none());
         let cell = laliga::cell_of_interest(remote.table());
-        let (cons, _, capped) = remote.explain_constraints_with_batch_stats(cell).unwrap();
-        let (want, _, inline) = reference
-            .explain_constraints_with_batch_stats(cell)
-            .unwrap();
+        let cons = remote.explain_constraints(cell).unwrap();
+        let want = reference.explain_constraints(cell).unwrap();
         assert_eq!(cons.exact, want.exact);
-        assert_eq!(capped.queries, inline.queries, "same misses either way");
-        assert!(
-            capped.batches > inline.batches,
-            "a batch cap of 8 splits the 16-coalition dispatch: {capped:?} vs {inline:?}"
+        assert_eq!(
+            cons.batches.queries, want.batches.queries,
+            "same misses either way"
         );
-        let cfg = SamplingConfig {
-            samples: 200,
-            seed: 5,
-        };
-        let cells = remote
-            .explain_cells_masked(cell, MaskMode::Null, cfg)
-            .unwrap();
-        let want = reference
-            .explain_cells_masked(cell, MaskMode::Null, cfg)
-            .unwrap();
+        assert!(
+            cons.batches.batches > want.batches.batches,
+            "a batch cap of 8 splits the 16-coalition dispatch: {:?} vs {:?}",
+            cons.batches,
+            want.batches
+        );
+        let req = masked(cell, 200);
+        let exec = ExecConfig::new().with_seed(5);
+        let cells = remote.explain(&req, &exec.with_oracle_batch(8)).unwrap();
+        let want = reference.explain(&req, &exec).unwrap();
         assert_eq!(cells.values, want.values);
     }
 
     #[test]
-    fn session_analyze_is_clean_on_the_demo_program_and_flags_injected_noise() {
+    fn dead_constraints_leave_the_violation_list_unchanged() {
         let mut s = session();
-        let a = s.analyze();
-        assert!(
-            !a.has_errors(),
-            "demo program should lint clean: {:?}",
-            a.diagnostics
-        );
-        assert_eq!(a.plans.len(), 4);
-        // Inject a dead constraint: flagged, and the violation list is
-        // unchanged at any thread count.
         let before = s.violations().unwrap();
         s.upsert_constraint(
             trex_constraints::parse_dc_named(
@@ -616,11 +534,6 @@ mod tests {
             .unwrap(),
         )
         .unwrap();
-        let a = s.analyze();
-        assert!(a
-            .verdicts
-            .iter()
-            .any(|v| v.name == "Dead" && v.unviolable.is_some()));
         assert_eq!(
             s.violations().unwrap(),
             before,
@@ -661,51 +574,95 @@ mod tests {
         // A request pinning a different oracle capacity gets a private
         // oracle and leaves the shared cache untouched.
         let exec = ExecConfig::new().with_oracle_cap(4);
-        let _ = s.explain_constraints_for(cell, &exec).unwrap();
+        let _ = s.explain(&constraints(cell), &exec).unwrap();
         assert_eq!(s.oracle_cache().stats(), second);
     }
 
     #[test]
     fn mutations_flush_the_shared_cache_and_explanations_stay_fresh() {
-        // Satellite: a long-lived session that mutates its inputs must not
-        // serve explanations influenced by pre-mutation oracle state. The
-        // cache keys already embed the inputs; this pins the flush *and*
-        // the freshness of the answers.
-        let mut s = session();
-        let cell = laliga::cell_of_interest(s.table());
-        let before = s.explain_constraints(cell).unwrap();
-        assert_eq!(before.ranking.top().unwrap().label, "C3");
-        assert!(!s.oracle_cache().is_empty());
-
-        // Remove C3: the cache flushes, and the re-explanation matches a
-        // fresh session over the mutated inputs exactly.
-        s.remove_constraint("C3").unwrap();
-        assert!(s.oracle_cache().is_empty(), "mutation must flush");
-        let after = s.explain_constraints(cell).unwrap();
-        let mut fresh = session();
-        fresh.remove_constraint("C3").unwrap();
-        let want = fresh.explain_constraints(cell).unwrap();
-        assert_eq!(after.exact, want.exact);
-        assert_eq!(after.exact[0].1.to_string(), "1/2");
-
-        // Same for a cell edit (different table fingerprint)...
-        let year = s.table().schema().id("Year");
-        s.set_cell(CellRef::new(0, year), Value::Int(1999));
-        assert!(s.oracle_cache().is_empty(), "set_cell must flush");
-        // ...and a constraint upsert.
-        let _ = s.explain_constraints(cell);
-        s.upsert_constraint(trex_constraints::parse_dc_named("C9: !(t1.Place < 1)", "C9").unwrap())
-            .unwrap();
-        assert!(s.oracle_cache().is_empty(), "upsert must flush");
+        // A long-lived session that mutates its inputs must not serve
+        // explanations influenced by pre-mutation oracle state. The cache
+        // keys already embed the inputs; this pins the flush *and* the
+        // freshness of the answers: for every mutation and every request
+        // kind, explaining after the mutation equals a fresh session over
+        // the mutated inputs, bit for bit, at 1 and 2 threads.
+        type Mutation = fn(&mut Session);
+        let mutations: [(&str, Mutation); 3] = [
+            ("set_cell", |s| {
+                let year = s.table().schema().id("Year");
+                s.set_cell(CellRef::new(0, year), Value::Int(1999));
+            }),
+            ("upsert_constraint", |s| {
+                let dc = trex_constraints::parse_dc_named("C9: !(t1.Place < 1)", "C9");
+                s.upsert_constraint(dc.unwrap()).unwrap();
+            }),
+            ("remove_constraint", |s| {
+                s.remove_constraint("C3").unwrap();
+            }),
+        ];
+        let cell = laliga::cell_of_interest(&laliga::dirty_table());
+        let masked_in = |mode| ExplainRequest {
+            cell,
+            players: Players::MaskedCells { mode, walks: 20 },
+        };
+        let requests = [
+            constraints(cell),
+            masked_in(MaskMode::Null),
+            masked_in(MaskMode::Distinct),
+            ExplainRequest {
+                cell,
+                players: Players::ReplacedCells { samples: 4 },
+            },
+            ExplainRequest {
+                cell,
+                players: Players::AdaptiveCells(AdaptiveConfig {
+                    tolerance: 0.1,
+                    batch: 4,
+                    max_samples: 12,
+                    ..AdaptiveConfig::default()
+                }),
+            },
+        ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for threads in [1usize, 2] {
+            let exec = ExecConfig::new().with_threads(threads).with_seed(5);
+            for (name, mutate) in &mutations {
+                let mut s = session().with_config(exec);
+                for req in &requests {
+                    s.explain(req, &exec).unwrap();
+                }
+                assert!(!s.oracle_cache().is_empty());
+                mutate(&mut s);
+                assert!(s.oracle_cache().is_empty(), "{name} must flush");
+                let fresh = Session::new(
+                    Box::new(laliga::algorithm1()),
+                    s.table().clone(),
+                    s.constraints().to_vec(),
+                )
+                .with_config(exec);
+                for req in &requests {
+                    let got = s.explain(req, &exec).unwrap();
+                    let want = fresh.explain(req, &exec).unwrap();
+                    let what = format!("{name}, {:?}, {threads} thread(s)", req.players);
+                    assert_eq!(bits(&got.values), bits(&want.values), "{what}");
+                    assert_eq!(got.exact, want.exact, "{what}");
+                    assert_eq!(got.players, want.players, "{what}");
+                }
+                if *name == "remove_constraint" {
+                    let after = s.explain(&requests[0], &exec).unwrap();
+                    assert_eq!(after.exact[0].1.to_string(), "1/2");
+                }
+            }
+        }
     }
 
     #[test]
     fn concurrent_explanations_match_solo_runs_bit_for_bit() {
-        // Satellite: N threads hammer one shared Session (one shared
-        // coalition cache) with mixed seeds and thread counts; every result
-        // must equal the same request run solo against its own session.
+        // N threads hammer one shared Session (one shared coalition cache)
+        // with mixed seeds and thread counts; every result must equal the
+        // same request run solo against its own session.
         let s = session().with_config(ExecConfig::new().with_threads(2));
-        let cell = laliga::cell_of_interest(s.table());
+        let req = masked(laliga::cell_of_interest(s.table()), 120);
         let requests: Vec<ExecConfig> = vec![
             ExecConfig::new().with_threads(1).with_seed(3),
             ExecConfig::new().with_threads(2).with_seed(3),
@@ -714,32 +671,19 @@ mod tests {
             ExecConfig::new().with_threads(4).with_seed(11),
             ExecConfig::new().with_threads(1).with_seed(7),
         ];
-        let shared: Vec<CellExplanation> = std::thread::scope(|scope| {
+        let shared: Vec<Explanation> = std::thread::scope(|scope| {
             let handles: Vec<_> = requests
                 .iter()
                 .map(|exec| {
-                    let s = &s;
-                    scope.spawn(move || {
-                        let cfg = SamplingConfig {
-                            samples: 120,
-                            seed: exec.seed().unwrap(),
-                        };
-                        s.explain_cells_masked_for(cell, MaskMode::Null, cfg, exec)
-                            .unwrap()
-                    })
+                    let (s, req) = (&s, &req);
+                    scope.spawn(move || s.explain(req, exec).unwrap())
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         for (exec, got) in requests.iter().zip(&shared) {
             let solo = session().with_config(*exec);
-            let cfg = SamplingConfig {
-                samples: 120,
-                seed: exec.seed().unwrap(),
-            };
-            let want = solo
-                .explain_cells_masked(cell, MaskMode::Null, cfg)
-                .unwrap();
+            let want = solo.explain(&req, &solo.config()).unwrap();
             assert_eq!(got.values, want.values, "{exec:?}");
             assert_eq!(got.players, want.players, "{exec:?}");
         }

@@ -4,8 +4,8 @@
 //! behaviour the explanation layer explains.
 //!
 //! * [`traits`] — the black-box interface: `Alg(C, T^d) → T^c` and the
-//!   binary view `Alg|t[A] ∈ {0,1}` of §2.1, plus the memoizing
-//!   [`CachedOracle`] (ablation A1).
+//!   binary view `Alg|t[A] ∈ {0,1}` of §2.1, plus the memoizing,
+//!   thread-safe [`ShardedOracle`] (ablation A1).
 //! * [`simple`] — the paper's **Algorithm 1**, generalized to rule lists
 //!   (`constraint → most-common / conditional-most-probable fix`).
 //! * [`holoclean`] — a from-scratch **HoloClean-style** probabilistic
@@ -39,8 +39,8 @@ pub use holoclean::{HoloCleanConfig, HoloCleanStyle};
 pub use metrics::{cell_accuracy, score_repair, score_tables, RepairQuality};
 pub use simple::{FixAction, Rule, RuleParseError, RuleRepair};
 pub use traits::{
-    hash_dcs, hash_value, repairs_cell_to, BatchStats, CachedOracle, NoOpRepair, OracleCache,
-    OracleKey, OracleStats, PanicGuard, RepairAlgorithm, RepairResult, ShardedOracle,
+    hash_dcs, hash_value, repairs_cell_to, BatchStats, NoOpRepair, OracleCache, OracleKey,
+    OracleStats, PanicGuard, RepairAlgorithm, RepairResult, ShardedOracle,
 };
 
 // Property tests, gated behind the `proptest` feature to keep plain
@@ -152,7 +152,7 @@ mod proptests {
         fn cached_oracle_matches_uncached(t in arb_table()) {
             if t.num_rows() == 0 { return Ok(()); }
             let alg = HolisticRepair::new();
-            let oracle = CachedOracle::new(&alg);
+            let oracle = ShardedOracle::new(&alg);
             let cell = t.cells().next().unwrap();
             let target = Value::Int(0);
             let plain = repairs_cell_to(&alg, &dcs(), &t, cell, &target);

@@ -9,21 +9,18 @@
 //!   target value? ([`repairs_cell_to`], §2.1's binary view).
 //!
 //! Shapley computation evaluates the binary view on thousands of coalition
-//! variants of `(C, T^d)`; [`CachedOracle`] memoizes those queries keyed by
+//! variants of `(C, T^d)`; [`ShardedOracle`] memoizes those queries keyed by
 //! `(constraints, table, cell, target)` fingerprints so that coalitions
 //! revisited by different permutation samples are computed once (ablation
-//! A1 of DESIGN.md measures the effect). [`ShardedOracle`] is the
-//! thread-safe variant behind the parallel sampling engine: the same
-//! memoization split over mutex-guarded shards so concurrent permutation
-//! workers share hits without serializing on one lock, with single-flight
-//! dedup of concurrent cold keys (one computation, all waiters share the
-//! answer) and a batching layer ([`ShardedOracle::query_keyed_batch`]) that
-//! forms bounded, cost-ordered batches for an optional
-//! [`crate::backend::OracleBackend`].
+//! A1 of DESIGN.md measures the effect). The memo is split over
+//! mutex-guarded shards so concurrent permutation workers share hits
+//! without serializing on one lock, with single-flight dedup of concurrent
+//! cold keys (one computation, all waiters share the answer) and a batching
+//! layer ([`ShardedOracle::query_keyed_batch`]) that forms bounded,
+//! cost-ordered batches for an optional [`crate::backend::OracleBackend`].
 
 use crate::backend::{CoalitionQuery, OracleBackend};
-use std::cell::RefCell;
-use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -155,16 +152,16 @@ pub fn hash_value(v: &Value) -> u64 {
     h.finish()
 }
 
-/// Cache statistics of a [`CachedOracle`] / [`ShardedOracle`].
+/// Cache statistics of a [`ShardedOracle`] (or of the [`OracleCache`]
+/// several of them share).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OracleStats {
     /// Queries answered from the cache.
     pub hits: usize,
     /// Queries that ran the underlying repair.
     pub misses: usize,
-    /// Entries evicted to stay under the capacity bound (always 0 for
-    /// [`CachedOracle`], which stops inserting instead of evicting, and for
-    /// a [`ShardedOracle`] that never exceeded its capacity).
+    /// Entries evicted to stay under the capacity bound (0 for an oracle
+    /// that never exceeded its capacity).
     pub evictions: usize,
 }
 
@@ -181,79 +178,6 @@ impl OracleStats {
         } else {
             self.hits as f64 / self.total() as f64
         }
-    }
-}
-
-/// A memoizing wrapper around the binary repair oracle.
-///
-/// Keys are `(dcs, table, cell, target)` fingerprints. The cache is bounded:
-/// once `capacity` entries are stored, further distinct queries are computed
-/// but not inserted (coalition spaces are enormous; an unbounded cache could
-/// eat the heap during long sampling runs).
-pub struct CachedOracle<'a> {
-    alg: &'a dyn RepairAlgorithm,
-    capacity: usize,
-    cache: RefCell<HashMap<(u64, u64, CellRef, u64), bool>>,
-    stats: RefCell<OracleStats>,
-}
-
-impl<'a> CachedOracle<'a> {
-    /// Default cache capacity (entries).
-    pub const DEFAULT_CAPACITY: usize = 1 << 20;
-
-    /// Wrap `alg` with the default capacity.
-    pub fn new(alg: &'a dyn RepairAlgorithm) -> Self {
-        Self::with_capacity(alg, Self::DEFAULT_CAPACITY)
-    }
-
-    /// Wrap `alg` with an explicit cache capacity.
-    pub fn with_capacity(alg: &'a dyn RepairAlgorithm, capacity: usize) -> Self {
-        CachedOracle {
-            alg,
-            capacity,
-            cache: RefCell::new(HashMap::new()),
-            stats: RefCell::new(OracleStats::default()),
-        }
-    }
-
-    /// The underlying algorithm.
-    pub fn algorithm(&self) -> &dyn RepairAlgorithm {
-        self.alg
-    }
-
-    /// Memoized `Alg|cell(dcs, table) == target` query.
-    pub fn repairs_cell_to(
-        &self,
-        dcs: &[DenialConstraint],
-        table: &Table,
-        cell: CellRef,
-        target: &Value,
-    ) -> bool {
-        let key = (hash_dcs(dcs), table.fingerprint(), cell, hash_value(target));
-        if let Some(hit) = self.cache.borrow().get(&key) {
-            self.stats.borrow_mut().hits += 1;
-            return *hit;
-        }
-        let answer = repairs_cell_to(self.alg, dcs, table, cell, target);
-        self.stats.borrow_mut().misses += 1;
-        let mut cache = self.cache.borrow_mut();
-        if cache.len() < self.capacity {
-            if let Entry::Vacant(e) = cache.entry(key) {
-                e.insert(answer);
-            }
-        }
-        answer
-    }
-
-    /// Cache statistics so far.
-    pub fn stats(&self) -> OracleStats {
-        *self.stats.borrow()
-    }
-
-    /// Drop all cached entries and reset statistics.
-    pub fn clear(&self) {
-        self.cache.borrow_mut().clear();
-        *self.stats.borrow_mut() = OracleStats::default();
     }
 }
 
@@ -522,7 +446,8 @@ impl OracleShard {
     }
 }
 
-/// Thread-safe memoizing oracle: the [`CachedOracle`] contract behind a
+/// Thread-safe memoizing wrapper around the binary repair oracle, keyed by
+/// `(dcs, table, cell, target)` fingerprints ([`OracleKey`]), behind a
 /// sharded lock so the parallel sampling workers can query it concurrently.
 ///
 /// The key space is split across a configurable number of mutex-guarded
@@ -633,8 +558,8 @@ impl Drop for FlightLease<'_, '_> {
 }
 
 impl<'a> ShardedOracle<'a> {
-    /// Default total cache capacity (entries), matching [`CachedOracle`].
-    pub const DEFAULT_CAPACITY: usize = CachedOracle::DEFAULT_CAPACITY;
+    /// Default total cache capacity (entries).
+    pub const DEFAULT_CAPACITY: usize = 1 << 20;
 
     /// Default number of independent shards.
     pub const DEFAULT_SHARDS: usize = 16;
@@ -1208,32 +1133,12 @@ mod tests {
     }
 
     #[test]
-    fn cached_oracle_deduplicates() {
-        let alg = CountingRepair {
-            need: 1,
-            calls: AtomicUsize::new(0),
-        };
-        let oracle = CachedOracle::new(&alg);
-        let t = table();
-        let cell = CellRef::new(0, AttrId(0));
-        let dcs = [dc()];
-        for _ in 0..5 {
-            assert!(oracle.repairs_cell_to(&dcs, &t, cell, &Value::str("FIXED")));
-        }
-        assert_eq!(alg.calls(), 1);
-        let stats = oracle.stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 4);
-        assert!((stats.hit_rate() - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
     fn cache_keys_distinguish_inputs() {
         let alg = CountingRepair {
             need: 1,
             calls: AtomicUsize::new(0),
         };
-        let oracle = CachedOracle::new(&alg);
+        let oracle = ShardedOracle::new(&alg);
         let t = table();
         let mut t2 = t.clone();
         t2.set(CellRef::new(0, AttrId(0)), Value::str("other"));
@@ -1245,39 +1150,6 @@ mod tests {
         // Three distinct inputs → three misses, three underlying runs.
         assert_eq!(alg.calls(), 3);
         assert_eq!(oracle.stats().misses, 3);
-    }
-
-    #[test]
-    fn capacity_zero_disables_caching() {
-        let alg = CountingRepair {
-            need: 1,
-            calls: AtomicUsize::new(0),
-        };
-        let oracle = CachedOracle::with_capacity(&alg, 0);
-        let t = table();
-        let cell = CellRef::new(0, AttrId(0));
-        let dcs = [dc()];
-        for _ in 0..3 {
-            let _ = oracle.repairs_cell_to(&dcs, &t, cell, &Value::str("FIXED"));
-        }
-        assert_eq!(alg.calls(), 3);
-        assert_eq!(oracle.stats().hits, 0);
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let alg = CountingRepair {
-            need: 1,
-            calls: AtomicUsize::new(0),
-        };
-        let oracle = CachedOracle::new(&alg);
-        let t = table();
-        let cell = CellRef::new(0, AttrId(0));
-        let _ = oracle.repairs_cell_to(&[dc()], &t, cell, &Value::str("FIXED"));
-        oracle.clear();
-        assert_eq!(oracle.stats(), OracleStats::default());
-        let _ = oracle.repairs_cell_to(&[dc()], &t, cell, &Value::str("FIXED"));
-        assert_eq!(alg.calls(), 2);
     }
 
     #[test]
@@ -1297,6 +1169,7 @@ mod tests {
         let stats = oracle.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 4);
+        assert!((stats.hit_rate() - 0.8).abs() < 1e-12);
         oracle.clear();
         assert_eq!(oracle.stats(), OracleStats::default());
         let _ = oracle.repairs_cell_to(&dcs, &t, cell, &Value::str("FIXED"));
@@ -1322,14 +1195,13 @@ mod tests {
     }
 
     #[test]
-    fn sharded_oracle_agrees_with_cached_oracle() {
-        // Same queries, same answers, same hit/miss totals: the sharded
-        // oracle is a drop-in for the serial one.
+    fn sharded_oracle_agrees_with_the_uncached_oracle() {
+        // Same queries, same answers as asking the algorithm every time;
+        // one miss per distinct query, a hit for every repeat.
         let alg = CountingRepair {
             need: 2,
             calls: AtomicUsize::new(0),
         };
-        let serial = CachedOracle::new(&alg);
         let sharded = ShardedOracle::new(&alg);
         let t = table();
         let mut t2 = t.clone();
@@ -1343,11 +1215,12 @@ mod tests {
             (vec![dc()], &t),
         ];
         for (dcs, table) in &queries {
-            let a = serial.repairs_cell_to(dcs, table, cell, &Value::str("FIXED"));
+            let a = repairs_cell_to(&alg, dcs, table, cell, &Value::str("FIXED"));
             let b = sharded.repairs_cell_to(dcs, table, cell, &Value::str("FIXED"));
             assert_eq!(a, b);
         }
-        assert_eq!(serial.stats(), sharded.stats());
+        assert_eq!(sharded.stats().misses, 4);
+        assert_eq!(sharded.stats().hits, 1);
     }
 
     #[test]
@@ -1424,18 +1297,13 @@ mod tests {
     #[test]
     fn single_shard_oracle_aggregates_stats_correctly() {
         // shards = 1 degenerates to one lock but must keep the exact
-        // CachedOracle stats contract.
+        // stats contract and the uncached answers.
         let alg = CountingRepair {
             need: 1,
             calls: AtomicUsize::new(0),
         };
         let oracle = ShardedOracle::with_config(&alg, ShardedOracle::DEFAULT_CAPACITY, 1);
         assert_eq!(oracle.num_shards(), 1);
-        let serial_alg = CountingRepair {
-            need: 1,
-            calls: AtomicUsize::new(0),
-        };
-        let serial = CachedOracle::new(&serial_alg);
         let t = table();
         let mut t2 = t.clone();
         t2.set(CellRef::new(0, AttrId(0)), Value::str("other"));
@@ -1449,10 +1317,9 @@ mod tests {
             (&t2, "FIXED"),
         ] {
             let a = oracle.repairs_cell_to(&dcs, tbl, cell, &Value::str(target));
-            let b = serial.repairs_cell_to(&dcs, tbl, cell, &Value::str(target));
+            let b = repairs_cell_to(&alg, &dcs, tbl, cell, &Value::str(target));
             assert_eq!(a, b);
         }
-        assert_eq!(oracle.stats(), serial.stats());
         assert_eq!(oracle.stats().misses, 3);
         assert_eq!(oracle.stats().hits, 2);
     }

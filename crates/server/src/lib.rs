@@ -17,8 +17,14 @@
 //! Every endpoint accepts the CLI's execution knobs (`threads`,
 //! `oracle-cap`, `oracle-batch`, `seed`) as query parameters, validated
 //! through the same `trex_shapley::exec_config_from_knobs` path as the CLI
-//! flags. Any other parameter an endpoint does not read is rejected with
+//! flags. The session's own configuration (the exec flags `trex serve` was
+//! started with) is every request's default: a request overrides it knob
+//! by knob. Any other parameter an endpoint does not read is rejected with
 //! 400, like an unknown CLI flag.
+//!
+//! Both explanation handlers build a `trex::ExplainRequest` and call
+//! `Session::explain` (the anytime stream `Session::explain_anytime`) —
+//! the same entry point `trex explain` uses.
 //!
 //! The headline is the **anytime** mode of `GET /explain?kind=cells`:
 //! adding `budget_ms=N` (or `stream=1`) switches the response to

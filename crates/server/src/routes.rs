@@ -6,7 +6,10 @@
 //! and input mutations take the write lock (and the session flushes the
 //! cache itself). Per-request execution knobs (`?threads=…&seed=…`) are
 //! validated by `trex_shapley::exec_config_from_knobs` — the exact
-//! validation path and error wording of the CLI flags.
+//! validation path and error wording of the CLI flags — on top of the
+//! session's configuration, so a knob a request leaves out keeps the value
+//! `trex serve` was started with. Both explain handlers call
+//! `Session::explain`.
 
 use crate::http::{
     chunk_begin, chunk_finish, chunk_line, write_error, write_json, BadRequest, Request,
@@ -16,8 +19,10 @@ use std::io;
 use std::net::TcpStream;
 use std::sync::RwLock;
 use std::time::{Duration, Instant};
-use trex::{cell_label, cell_players, CellExplanation, ExplainError, MaskMode, Session};
-use trex_shapley::{AnytimeControl, ExecConfig, SamplingConfig};
+use trex::{
+    cell_label, cell_players, ExplainError, ExplainRequest, Explanation, MaskMode, Players, Session,
+};
+use trex_shapley::{AnytimeControl, ExecConfig};
 use trex_table::{CellRef, Table, Value};
 
 /// Default per-player walk budget of a cell explanation when the request
@@ -115,40 +120,23 @@ fn check_params(req: &Request, extra: &[&str]) -> Result<(), BadRequest> {
 }
 
 /// Parse the request's execution knobs through the shared CLI/server
-/// validation path, then apply the server-side rule the CLI only warns
-/// about: an `oracle-batch` with no backend attached is rejected — a
-/// remote client asking for batching it cannot get deserves an error,
-/// not silence.
+/// validation path, starting from the session's configuration, then apply
+/// the server-side rule the CLI only warns about: a request naming an
+/// `oracle-batch` with no backend attached is rejected — a remote client
+/// asking for batching it cannot get deserves an error, not silence.
 fn request_exec(req: &Request, session: &Session) -> Result<ExecConfig, BadRequest> {
-    let exec =
-        trex_shapley::exec_config_from_knobs(|name| req.param(name)).map_err(BadRequest::new)?;
-    if exec.oracle_batch().is_some() && session.oracle_backend().is_none() {
+    let exec = trex_shapley::exec_config_from_knobs(session.config(), |name| req.param(name))
+        .map_err(BadRequest::new)?;
+    if req.param("oracle-batch").is_some() && session.oracle_backend().is_none() {
         return Err(BadRequest::new(ExecConfig::ORACLE_BATCH_WITHOUT_BACKEND));
     }
     Ok(exec)
 }
 
-/// Parse a `tROW.Attr` cell spec against the session table (1-based row,
-/// the CLI's `--cell` grammar).
+/// Parse a `tROW.Attr` cell spec against the session table (the CLI's
+/// `--cell` grammar, [`trex::parse_cell`]).
 fn parse_cell(table: &Table, spec: &str) -> Result<CellRef, BadRequest> {
-    let (row_part, attr_part) = spec
-        .split_once('.')
-        .ok_or_else(|| BadRequest::new(format!("cell {spec:?}: expected tROW.Attr")))?;
-    let row_text = row_part.strip_prefix('t').unwrap_or(row_part);
-    let row: usize = row_text
-        .parse()
-        .map_err(|_| BadRequest::new(format!("cell {spec:?}: bad row {row_text:?}")))?;
-    if row == 0 || row > table.num_rows() {
-        return Err(BadRequest::new(format!(
-            "cell {spec:?}: row {row} out of range 1..={}",
-            table.num_rows()
-        )));
-    }
-    let attr = table
-        .schema()
-        .resolve(attr_part)
-        .ok_or_else(|| BadRequest::new(format!("cell {spec:?}: no attribute {attr_part:?}")))?;
-    Ok(CellRef::new(row - 1, attr))
+    trex::parse_cell(table, spec).map_err(|e| BadRequest::new(format!("cell {e}")))
 }
 
 fn parse_usize(req: &Request, name: &str, default: usize) -> Result<usize, BadRequest> {
@@ -161,8 +149,8 @@ fn parse_usize(req: &Request, name: &str, default: usize) -> Result<usize, BadRe
 }
 
 fn explain_error(e: ExplainError) -> BadRequest {
-    // Every ExplainError is a property of the request (bad cell, cell not
-    // repaired, table too large for exact) — a client error, not a 500.
+    // Every ExplainError is a property of the request (cell out of range,
+    // cell not repaired) — a client error, not a 500.
     BadRequest::new(e.to_string())
 }
 
@@ -371,7 +359,11 @@ fn explain_constraints(
             );
         }
     }
-    let explanation = match session.explain_constraints_for(cell, exec) {
+    let req = ExplainRequest {
+        cell,
+        players: Players::Constraints,
+    };
+    let explanation = match session.explain(&req, exec) {
         Ok(e) => e,
         Err(e) => {
             let bad = explain_error(e);
@@ -414,7 +406,7 @@ fn explain_constraints(
 /// explanation, shared verbatim by the batch response and the stream's
 /// final line — the determinism contract ("final stream line equals batch
 /// explain bit for bit") is checked by comparing these strings.
-fn cells_payload(table: &Table, e: &CellExplanation) -> String {
+fn cells_payload(table: &Table, e: &Explanation) -> String {
     let cells: Vec<String> = e
         .players
         .iter()
@@ -460,27 +452,25 @@ fn explain_cells(
     cell: CellRef,
     exec: &ExecConfig,
 ) -> io::Result<()> {
-    let setup = (|| -> Result<(MaskMode, SamplingConfig), BadRequest> {
+    let setup = (|| -> Result<(MaskMode, usize), BadRequest> {
         let mode = mask_mode(req)?;
-        let samples = parse_usize(req, "samples", DEFAULT_SAMPLES)?;
-        if samples == 0 {
+        let walks = parse_usize(req, "samples", DEFAULT_SAMPLES)?;
+        if walks == 0 {
             return Err(BadRequest::new("samples must be >= 1"));
         }
-        Ok((
-            mode,
-            SamplingConfig {
-                samples,
-                seed: exec.seed().unwrap_or(0),
-            },
-        ))
+        Ok((mode, walks))
     })();
-    let (mode, config) = match setup {
+    let (mode, walks) = match setup {
         Ok(v) => v,
         Err(bad) => return write_error(stream, bad.status, &bad.message),
     };
+    let explain_req = ExplainRequest {
+        cell,
+        players: Players::MaskedCells { mode, walks },
+    };
     let streaming = req.param("budget_ms").is_some() || req.param("stream").is_some();
     if !streaming {
-        return match session.explain_cells_masked_for(cell, mode, config, exec) {
+        return match session.explain(&explain_req, exec) {
             Ok(e) => write_json(
                 stream,
                 200,
@@ -501,7 +491,7 @@ fn explain_cells(
                 BadRequest::new(format!("budget_ms: cannot parse {v:?}"))
             })?)),
         };
-        let default_every = (config.samples / DEFAULT_CHECKPOINTS).max(1);
+        let default_every = (walks / DEFAULT_CHECKPOINTS).max(1);
         let every = parse_usize(req, "checkpoint", default_every)?;
         if every == 0 {
             return Err(BadRequest::new("checkpoint must be >= 1"));
@@ -526,7 +516,7 @@ fn explain_cells(
     let mut client_gone = false;
     let mut last_completed = 0usize;
     let mut total = 0usize;
-    let outcome = session.explain_cells_masked_anytime(cell, mode, config, exec, every, |cp| {
+    let outcome = session.explain_anytime(&explain_req, exec, every, |cp| {
         last_completed = cp.completed;
         total = cp.total;
         if !begun {
@@ -576,7 +566,7 @@ fn explain_cells(
             let bad = explain_error(e);
             write_error(stream, bad.status, &bad.message)
         }
-        Ok((explanation, finished)) => {
+        Ok(explanation) => {
             if client_gone {
                 return Ok(()); // nobody is listening
             }
@@ -587,7 +577,7 @@ fn explain_cells(
             }
             let line = format!(
                 "{{\"final\":true,\"finished\":{},\"completed\":{},\"total\":{},\"elapsed_ms\":{},{}}}",
-                finished,
+                explanation.finished,
                 last_completed,
                 total,
                 started.elapsed().as_millis(),

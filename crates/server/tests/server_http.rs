@@ -4,7 +4,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use trex::Session;
+use trex::{ExecConfig, ExplainRequest, Players, Session};
 use trex_datagen::laliga;
 use trex_server::{json, serve, ServerConfig, ServerHandle};
 
@@ -91,7 +91,15 @@ fn constraint_explanation_matches_direct_session() {
         table.clone(),
         laliga::constraints(),
     );
-    let direct = session.explain_constraints(cell).expect("direct explain");
+    let direct = session
+        .explain(
+            &ExplainRequest {
+                cell,
+                players: Players::Constraints,
+            },
+            &session.config(),
+        )
+        .expect("direct explain");
 
     let server = serve(session, &ServerConfig::default()).expect("bind");
     let (status, body) = get(&server, "/explain?kind=constraints&cell=t5.Country");
@@ -288,6 +296,39 @@ fn unresolvable_constraint_upsert_is_rejected_and_the_server_keeps_working() {
     assert!(body.starts_with("{\"count\":2,"), "{body}");
     let (status, body) = get(&server, "/health");
     assert_eq!(status, 200, "{body}");
+}
+
+#[test]
+fn session_exec_config_is_every_requests_default() {
+    // The exec flags `trex serve` starts with are the defaults of every
+    // request: a session seeded with 7 answers a request without `seed`
+    // exactly as a default session answers `seed=7`.
+    let plain = start_server();
+    let (status, want) = get(&plain, "/explain?cell=t5.Country&samples=50&seed=7");
+    assert_eq!(status, 200);
+    let (_, unseeded) = get(&plain, "/explain?cell=t5.Country&samples=50");
+    assert_ne!(want, unseeded, "the seed must matter for this pin to bite");
+
+    let exec = ExecConfig::new()
+        .with_seed(7)
+        .with_threads(1)
+        .with_oracle_batch(4);
+    let session = Session::new(
+        Box::new(laliga::algorithm1()),
+        laliga::dirty_table(),
+        laliga::constraints(),
+    )
+    .with_config(exec);
+    let seeded = serve(session, &ServerConfig::default()).expect("bind server");
+    let (status, got) = get(&seeded, "/explain?cell=t5.Country&samples=50");
+    assert_eq!(status, 200, "{got}");
+    assert_eq!(got, want);
+    // A request's own knob still wins over the session's.
+    let (_, reseeded) = get(&seeded, "/explain?cell=t5.Country&samples=50&seed=0");
+    assert_eq!(reseeded, unseeded);
+    // The session's inert batch bound is not the request asking for one.
+    let (status, body) = get(&seeded, "/explain?cell=t5.Country&oracle-batch=16");
+    assert_eq!(status, 400, "{body}");
 }
 
 #[test]

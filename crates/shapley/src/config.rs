@@ -143,24 +143,28 @@ impl ExecConfig {
 ///
 /// `get(name)` looks up the raw value of knob `name` (`None` when absent);
 /// recognized names are `threads`, `oracle-cap`, `oracle-batch`, and
-/// `seed` — callers reject any other name as unknown. Validation and error
-/// wording are the contract here: `threads` absent or `0` resolves to the
+/// `seed` — callers reject any other name as unknown. Every absent knob
+/// keeps `base`'s value: the CLI passes all hardware threads and nothing
+/// else, the server the session's configuration, so the exec flags given
+/// to `trex serve` are every request's defaults. Validation and error
+/// wording are the contract here: a `threads` of `0` resolves to the
 /// available parallelism via [`crate::parallel::resolve_threads`] (absurd
 /// counts keep the offending value and the cap in the message),
 /// `oracle-batch` must be ≥ 1. Callers surface the returned message
 /// verbatim, so a bad `?threads=999999` on the server reads exactly like a
 /// bad `--threads 999999` on the CLI.
 pub fn exec_config_from_knobs<'v>(
+    base: ExecConfig,
     get: impl Fn(&str) -> Option<&'v str>,
 ) -> Result<ExecConfig, String> {
-    let requested: usize = match get("threads") {
-        None => 0,
-        Some(v) => v
+    let mut cfg = base;
+    if let Some(v) = get("threads") {
+        let requested: usize = v
             .parse()
-            .map_err(|_| format!("--threads: cannot parse {v:?}"))?,
-    };
-    let threads = crate::parallel::resolve_threads(requested).map_err(|e| e.to_string())?;
-    let mut cfg = ExecConfig::new().with_threads(threads);
+            .map_err(|_| format!("--threads: cannot parse {v:?}"))?;
+        let threads = crate::parallel::resolve_threads(requested).map_err(|e| e.to_string())?;
+        cfg = cfg.with_threads(threads);
+    }
     if let Some(v) = get("oracle-cap") {
         let cap = v
             .parse::<usize>()
@@ -219,7 +223,7 @@ mod tests {
     #[test]
     fn knobs_read_only_the_four_exec_names() {
         let asked = std::cell::RefCell::new(Vec::new());
-        let cfg = exec_config_from_knobs(|name| {
+        let cfg = exec_config_from_knobs(ExecConfig::new(), |name| {
             asked.borrow_mut().push(name.to_string());
             (name == "threads").then_some("3")
         })
@@ -231,6 +235,26 @@ mod tests {
         );
         let pinned = ExecConfig::new().with_schedule(Schedule::WorkStealing);
         assert_eq!(pinned, ExecConfig::new());
+    }
+
+    #[test]
+    fn absent_knobs_keep_the_base_values() {
+        let base = ExecConfig::new()
+            .with_threads(3)
+            .with_oracle_cap(64)
+            .with_oracle_batch(8)
+            .with_seed(7);
+        assert_eq!(exec_config_from_knobs(base, |_| None).unwrap(), base);
+        let cfg = exec_config_from_knobs(base, |name| match name {
+            "threads" => Some("1"),
+            "seed" => Some("9"),
+            _ => None,
+        })
+        .unwrap();
+        assert_eq!(cfg, base.with_threads(1).with_seed(9));
+        // `0` still means all hardware threads, whatever the base says.
+        let all = exec_config_from_knobs(base, |name| (name == "threads").then_some("0"));
+        assert_eq!(all.unwrap().threads(), crate::parallel::available_threads());
     }
 
     #[test]

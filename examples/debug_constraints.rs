@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --release --example debug_constraints`
 
-use trex::Session;
+use trex::{ExplainRequest, Players, Session};
 use trex_constraints::parse_dcs;
 use trex_datagen::{errors, soccer};
 use trex_repair::{score_repair, FixAction, Rule, RuleRepair};
@@ -95,7 +95,15 @@ fn main() {
         .map(|c| c.cell)
         .find(|c| c.attr == city_attr)
         .expect("the bad constraint causes at least one City repair");
-    let explanation = session.explain_constraints(bogus).unwrap();
+    let explanation = session
+        .explain(
+            &ExplainRequest {
+                cell: bogus,
+                players: Players::Constraints,
+            },
+            &session.config(),
+        )
+        .unwrap();
     println!(
         "\nexplanation for the bogus repair of t{}[City]:\n{}",
         bogus.row + 1,

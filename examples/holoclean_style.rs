@@ -9,10 +9,9 @@
 //!
 //! Run with: `cargo run --release --example holoclean_style`
 
-use trex::{render_repair_screen, Explainer};
+use trex::{render_repair_screen, ExecConfig, ExplainRequest, Explainer, Players};
 use trex_datagen::{adult, errors};
 use trex_repair::{score_repair, HoloCleanStyle, RepairAlgorithm};
-use trex_shapley::SamplingConfig;
 
 fn main() {
     // Census-like data with two FDs and a range rule.
@@ -53,10 +52,17 @@ fn main() {
         println!("nothing was repaired; nothing to explain");
         return;
     };
-    let explainer = Explainer::new(&alg);
-    let cons = explainer
-        .explain_constraints(&dcs, &injected.dirty, first.cell)
-        .expect("cell is repaired");
+    let explainer = Explainer::new(&alg).with_config(ExecConfig::new().with_seed(21));
+    let explain = |players| {
+        let req = ExplainRequest {
+            cell: first.cell,
+            players,
+        };
+        explainer
+            .explain(&dcs, &injected.dirty, &req)
+            .expect("cell is repaired")
+    };
+    let cons = explain(Players::Constraints);
     println!(
         "constraint influence for the repair {} (same black-box API as Algorithm 1):\n{}",
         first, cons.ranking
@@ -64,17 +70,7 @@ fn main() {
 
     // Cell explanation: every sample re-runs the full probabilistic
     // cleaner, so keep m modest here (the bench suite measures cost).
-    let cells = explainer
-        .explain_cells_sampled(
-            &dcs,
-            &injected.dirty,
-            first.cell,
-            SamplingConfig {
-                samples: 25,
-                seed: 21,
-            },
-        )
-        .expect("cell is repaired");
+    let cells = explain(Players::ReplacedCells { samples: 25 });
     println!("top influencing cells:");
     for e in cells.ranking.top_k(5) {
         println!(

@@ -11,10 +11,9 @@
 //!
 //! Run with: `cargo run --release --example paper_figures`
 
-use trex::{Explainer, MaskMode};
+use trex::{ExecConfig, ExplainRequest, Explainer, MaskMode, Players};
 use trex_datagen::laliga;
 use trex_repair::{repairs_cell_to, RepairAlgorithm};
-use trex_shapley::SamplingConfig;
 use trex_table::Value;
 
 fn main() {
@@ -55,10 +54,13 @@ fn main() {
 
     // Figure 1 / Example 2.3
     let cell = laliga::cell_of_interest(&dirty);
-    let explainer = Explainer::new(&alg);
-    let cons = explainer
-        .explain_constraints(&dcs, &dirty, cell)
-        .expect("t5[Country] is repaired");
+    let explainer = Explainer::new(&alg).with_config(ExecConfig::new().with_seed(3));
+    let explain = |players| {
+        explainer
+            .explain(&dcs, &dirty, &ExplainRequest { cell, players })
+            .expect("t5[Country] is repaired")
+    };
+    let cons = explain(Players::Constraints);
     println!("== Figure 1 / Example 2.3: constraint Shapley values for t5[Country] ==");
     for (name, r) in &cons.exact {
         println!("  Shap({name}) = {r}");
@@ -67,18 +69,10 @@ fn main() {
 
     // Example 2.4 under the definition's (masked) semantics.
     println!("== Example 2.4: cell influence (masked/null semantics, 2000 permutation walks) ==");
-    let masked = explainer
-        .explain_cells_masked(
-            &dcs,
-            &dirty,
-            cell,
-            MaskMode::Null,
-            SamplingConfig {
-                samples: 2000,
-                seed: 3,
-            },
-        )
-        .expect("repaired");
+    let masked = explain(Players::MaskedCells {
+        mode: MaskMode::Null,
+        walks: 2000,
+    });
     for e in masked.ranking.top_k(8) {
         println!(
             "  {:<12} {:+.4} ± {:.4}",
@@ -94,17 +88,7 @@ fn main() {
 
     // Example 2.5's replacement-sampling estimator, for comparison.
     println!("== Example 2.5: replacement-sampling estimator (per-player, m = 2000) ==");
-    let sampled = explainer
-        .explain_cells_sampled(
-            &dcs,
-            &dirty,
-            cell,
-            SamplingConfig {
-                samples: 2000,
-                seed: 3,
-            },
-        )
-        .expect("repaired");
+    let sampled = explain(Players::ReplacedCells { samples: 2000 });
     for e in sampled.ranking.top_k(8) {
         println!(
             "  {:<12} {:+.4} ± {:.4}",

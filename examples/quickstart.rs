@@ -7,10 +7,12 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use trex::{render_explanation_screen, render_input_screen, render_repair_screen, Explainer};
+use trex::{
+    render_explanation_screen, render_input_screen, render_repair_screen, ExecConfig,
+    ExplainRequest, Explainer, Players,
+};
 use trex_constraints::parse_dcs;
 use trex_repair::{FixAction, RepairAlgorithm, Rule, RuleRepair};
-use trex_shapley::SamplingConfig;
 use trex_table::{CellRef, TableBuilder};
 
 fn main() {
@@ -57,21 +59,14 @@ fn main() {
 
     // Screen 3: explanation of the repaired cell t4[Country].
     let cell = CellRef::new(3, dirty.schema().id("Country"));
-    let explainer = Explainer::new(&alg);
-    let constraints = explainer
-        .explain_constraints(&dcs, &dirty, cell)
-        .expect("t4[Country] is repaired");
-    let cells = explainer
-        .explain_cells_sampled(
-            &dcs,
-            &dirty,
-            cell,
-            SamplingConfig {
-                samples: 2000,
-                seed: 42,
-            },
-        )
-        .expect("t4[Country] is repaired");
+    let explainer = Explainer::new(&alg).with_config(ExecConfig::new().with_seed(42));
+    let explain = |players| {
+        explainer
+            .explain(&dcs, &dirty, &ExplainRequest { cell, players })
+            .expect("t4[Country] is repaired")
+    };
+    let constraints = explain(Players::Constraints);
+    let cells = explain(Players::ReplacedCells { samples: 2000 });
     println!(
         "{}",
         render_explanation_screen("t4[Country]", Some(&constraints), Some(&cells))

@@ -2,12 +2,11 @@
 //! every repair engine in the workspace runs through the identical
 //! `Explainer` code path with no engine-specific branches.
 
-use trex::Explainer;
+use trex::{ExecConfig, ExplainRequest, Explainer, Players};
 use trex_constraints::parse_dcs;
 use trex_repair::{
     FdChaseRepair, FixAction, HolisticRepair, HoloCleanStyle, RepairAlgorithm, Rule, RuleRepair,
 };
-use trex_shapley::SamplingConfig;
 use trex_table::{CellRef, Table, TableBuilder, Value};
 
 fn workload() -> (Table, Vec<trex_constraints::DenialConstraint>) {
@@ -68,7 +67,14 @@ fn every_engine_explains_through_the_same_api() {
         );
         let explainer = Explainer::new(alg.as_ref());
         let cons = explainer
-            .explain_constraints(&dcs, &dirty, cell)
+            .explain(
+                &dcs,
+                &dirty,
+                &ExplainRequest {
+                    cell,
+                    players: Players::Constraints,
+                },
+            )
             .unwrap_or_else(|e| panic!("{}: {e}", alg.name()));
         assert_eq!(
             cons.ranking.top().unwrap().label,
@@ -93,17 +99,13 @@ fn cell_explanations_work_across_engines() {
     let (dirty, dcs) = workload();
     let cell = CellRef::new(5, dirty.schema().id("Country"));
     for alg in engines() {
-        let explainer = Explainer::new(alg.as_ref());
-        let out = explainer
-            .explain_cells_sampled(
-                &dcs,
-                &dirty,
-                cell,
-                SamplingConfig {
-                    samples: 150,
-                    seed: 2,
-                },
-            )
+        let req = ExplainRequest {
+            cell,
+            players: Players::ReplacedCells { samples: 150 },
+        };
+        let out = Explainer::new(alg.as_ref())
+            .with_config(ExecConfig::new().with_seed(2))
+            .explain(&dcs, &dirty, &req)
             .unwrap_or_else(|e| panic!("{}: {e}", alg.name()));
         assert_eq!(out.players.len(), dirty.num_cells() - 1);
         let top = out.ranking.top().unwrap();
@@ -141,10 +143,24 @@ fn different_engines_can_yield_different_shapley_profiles() {
     let chase = FdChaseRepair::new();
 
     let a = Explainer::new(&rule)
-        .explain_constraints(&dcs, &t, cell)
+        .explain(
+            &dcs,
+            &t,
+            &ExplainRequest {
+                cell,
+                players: Players::Constraints,
+            },
+        )
         .unwrap();
     let b = Explainer::new(&chase)
-        .explain_constraints(&dcs, &t, cell)
+        .explain(
+            &dcs,
+            &t,
+            &ExplainRequest {
+                cell,
+                players: Players::Constraints,
+            },
+        )
         .unwrap();
     // Both attribute everything to C1 (the only City-repairing constraint).
     assert_eq!(a.ranking.top().unwrap().label, "C1");

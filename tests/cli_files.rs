@@ -1,7 +1,7 @@
 //! The `data/` files shipped for the CLI reproduce the paper end-to-end
 //! through the file-based path (CSV text + constraint text + rule text).
 
-use trex::Explainer;
+use trex::{ExplainRequest, Explainer, Players};
 use trex_constraints::parse_dcs;
 use trex_repair::{RepairAlgorithm, RuleRepair};
 use trex_table::{read_csv_strings, CellRef, Value};
@@ -22,7 +22,14 @@ fn shipped_files_reproduce_figure_1() {
     // use equality on those attributes.
     let cell = CellRef::new(4, table.schema().id("Country"));
     let out = Explainer::new(&alg)
-        .explain_constraints(&dcs, &table, cell)
+        .explain(
+            &dcs,
+            &table,
+            &ExplainRequest {
+                cell,
+                players: Players::Constraints,
+            },
+        )
         .unwrap();
     let exact: Vec<String> = out.exact.iter().map(|(n, r)| format!("{n}={r}")).collect();
     assert_eq!(exact, vec!["C1=1/6", "C2=1/6", "C3=2/3", "C4=0"]);

@@ -1,11 +1,10 @@
 //! Integration test E8: the §4 demo scenario — explanations drive
 //! constraint debugging, and acting on them improves the repair.
 
-use trex::Session;
+use trex::{ExecConfig, ExplainRequest, Players, Session};
 use trex_constraints::parse_dcs;
 use trex_datagen::{errors, laliga, soccer};
 use trex_repair::{score_repair, FixAction, Rule, RuleRepair};
-use trex_shapley::SamplingConfig;
 use trex_table::{CellRef, Value};
 
 fn bad_constraint_setup() -> (trex_datagen::InjectionResult, Session) {
@@ -74,7 +73,15 @@ fn removing_the_culprit_constraint_improves_the_repair() {
         .map(|c| c.cell)
         .find(|c| c.attr == city_attr)
         .expect("B must cause a bogus City repair");
-    let explanation = session.explain_constraints(bogus).unwrap();
+    let explanation = session
+        .explain(
+            &ExplainRequest {
+                cell: bogus,
+                players: Players::Constraints,
+            },
+            &session.config(),
+        )
+        .unwrap();
     assert_eq!(explanation.ranking.top().unwrap().label, "B");
 
     session.remove_constraint("B");
@@ -100,15 +107,15 @@ fn editing_an_influential_cell_redirects_the_repair() {
     );
     let cell = laliga::cell_of_interest(session.table());
     // The masked explanation says t5[League] is the most influential cell.
+    let req = ExplainRequest {
+        cell,
+        players: Players::MaskedCells {
+            mode: trex::MaskMode::Null,
+            walks: 400,
+        },
+    };
     let cells = session
-        .explain_cells_masked(
-            cell,
-            trex::MaskMode::Null,
-            SamplingConfig {
-                samples: 400,
-                seed: 8,
-            },
-        )
+        .explain(&req, &ExecConfig::new().with_seed(8))
         .unwrap();
     assert_eq!(cells.ranking.top().unwrap().label, "t5[League]");
 
@@ -117,7 +124,15 @@ fn editing_an_influential_cell_redirects_the_repair() {
     // C3's influence collapses to zero.
     let league = session.table().schema().id("League");
     session.set_cell(CellRef::new(4, league), Value::Null);
-    let cons = session.explain_constraints(cell).unwrap();
+    let cons = session
+        .explain(
+            &ExplainRequest {
+                cell,
+                players: Players::Constraints,
+            },
+            &session.config(),
+        )
+        .unwrap();
     assert_eq!(cons.ranking.get("C3").unwrap().value, 0.0);
     assert_eq!(cons.exact[0].1.to_string(), "1/2"); // C1
     assert_eq!(cons.exact[1].1.to_string(), "1/2"); // C2

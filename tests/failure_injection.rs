@@ -1,11 +1,10 @@
 //! Failure injection: the explanation machinery must survive brittle and
 //! degenerate black boxes (DESIGN.md §6).
 
-use trex::{Explainer, MaskMode};
+use trex::{ExecConfig, ExplainRequest, Explainer, MaskMode, Players};
 use trex_constraints::{parse_dcs, DenialConstraint};
 use trex_datagen::laliga;
 use trex_repair::{NoOpRepair, PanicGuard, RepairAlgorithm, RepairResult};
-use trex_shapley::SamplingConfig;
 use trex_table::{CellRef, Table, Value};
 
 /// A repairer that panics on any table containing a null cell — exactly the
@@ -41,21 +40,15 @@ fn guarded_brittle_engine_survives_masked_explanation() {
     let dirty = laliga::dirty_table();
     let dcs = laliga::constraints();
     let guard = PanicGuard::new(NullPhobic);
-    let ex = Explainer::new(&guard);
-    let cell = laliga::cell_of_interest(&dirty);
-    let out = silence_panics(|| {
-        ex.explain_cells_masked(
-            &dcs,
-            &dirty,
-            cell,
-            MaskMode::Null,
-            SamplingConfig {
-                samples: 40,
-                seed: 2,
-            },
-        )
-    })
-    .unwrap();
+    let ex = Explainer::new(&guard).with_config(ExecConfig::new().with_seed(2));
+    let req = ExplainRequest {
+        cell: laliga::cell_of_interest(&dirty),
+        players: Players::MaskedCells {
+            mode: MaskMode::Null,
+            walks: 40,
+        },
+    };
+    let out = silence_panics(|| ex.explain(&dcs, &dirty, &req)).unwrap();
     // Every masked coalition with at least one null panicked; only the
     // full coalition evaluated normally. The explanation still exists and
     // panics were counted.
@@ -73,7 +66,14 @@ fn always_and_never_repairing_boxes() {
     // Never repairs: refused upfront (cell not repaired by the full run).
     let ex = Explainer::new(&NoOpRepair);
     assert!(ex
-        .explain_constraints(&dcs, &dirty, laliga::cell_of_interest(&dirty))
+        .explain(
+            &dcs,
+            &dirty,
+            &ExplainRequest {
+                cell: laliga::cell_of_interest(&dirty),
+                players: Players::Constraints
+            }
+        )
         .is_err());
 
     // Repairs regardless of the constraints: constraint Shapley mass is all
@@ -94,7 +94,14 @@ fn always_and_never_repairing_boxes() {
     }
     let ex = Explainer::new(&Always);
     let out = ex
-        .explain_constraints(&dcs, &dirty, laliga::cell_of_interest(&dirty))
+        .explain(
+            &dcs,
+            &dirty,
+            &ExplainRequest {
+                cell: laliga::cell_of_interest(&dirty),
+                players: Players::Constraints,
+            },
+        )
         .unwrap();
     assert!(out.ranking.entries().iter().all(|e| e.value == 0.0));
     assert_eq!(out.ranking.total(), 0.0);
@@ -124,7 +131,14 @@ fn single_row_table_explains_nothing() {
     let alg = laliga::algorithm1();
     let ex = Explainer::new(&alg);
     let err = ex
-        .explain_constraints(&dcs, &t, CellRef::new(0, t.schema().id("B")))
+        .explain(
+            &dcs,
+            &t,
+            &ExplainRequest {
+                cell: CellRef::new(0, t.schema().id("B")),
+                players: Players::Constraints,
+            },
+        )
         .unwrap_err();
     assert!(matches!(err, trex::ExplainError::CellNotRepaired { .. }));
 }

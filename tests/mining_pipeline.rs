@@ -2,7 +2,7 @@
 //! (the paper's reference [2] workflow), then repair + explain a dirtied
 //! table using only what was mined — no hand-written constraints anywhere.
 
-use trex::Explainer;
+use trex::{ExplainRequest, Explainer, Players};
 use trex_constraints::{fds_of, mine_dcs, FunctionalDependency, MineConfig};
 use trex_datagen::{errors, soccer};
 use trex_repair::{score_repair, HoloCleanStyle, RepairAlgorithm};
@@ -73,7 +73,14 @@ fn mined_constraints_drive_repair_and_explanation() {
             .any(|t| t.cell == c.cell && t.to == c.to)
     }) {
         let out = Explainer::new(&alg)
-            .explain_constraints(&dcs, &injected.dirty, ch.cell)
+            .explain(
+                &dcs,
+                &injected.dirty,
+                &ExplainRequest {
+                    cell: ch.cell,
+                    players: Players::Constraints,
+                },
+            )
             .unwrap();
         assert!(
             out.ranking.total() > 0.99,

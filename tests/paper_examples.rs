@@ -1,10 +1,9 @@
 //! Integration tests E1–E4: every quantitative claim in the paper's worked
 //! examples, end-to-end through the public API.
 
-use trex::{Explainer, MaskMode};
+use trex::{ExecConfig, ExplainRequest, Explainer, MaskMode, Players};
 use trex_datagen::laliga;
 use trex_repair::{repairs_cell_to, RepairAlgorithm};
-use trex_shapley::SamplingConfig;
 use trex_table::Value;
 
 /// E3 / Figure 2: Algorithm 1 repairs the dirty La Liga table exactly to
@@ -41,7 +40,14 @@ fn e1_figure_1_constraint_shapley_values() {
     let alg = laliga::algorithm1();
     let explainer = Explainer::new(&alg);
     let out = explainer
-        .explain_constraints(&dcs, &dirty, laliga::cell_of_interest(&dirty))
+        .explain(
+            &dcs,
+            &dirty,
+            &ExplainRequest {
+                cell: laliga::cell_of_interest(&dirty),
+                players: Players::Constraints,
+            },
+        )
         .unwrap();
     let exact: Vec<(String, String)> = out
         .exact
@@ -76,7 +82,14 @@ fn e1_float_matches_rational() {
     let dcs = laliga::constraints();
     let alg = laliga::algorithm1();
     let out = Explainer::new(&alg)
-        .explain_constraints(&dcs, &dirty, laliga::cell_of_interest(&dirty))
+        .explain(
+            &dcs,
+            &dirty,
+            &ExplainRequest {
+                cell: laliga::cell_of_interest(&dirty),
+                players: Players::Constraints,
+            },
+        )
         .unwrap();
     for (name, rational) in &out.exact {
         let entry = out.ranking.get(name).unwrap();
@@ -93,14 +106,16 @@ fn e4_example_2_4_cell_ranking_masked() {
     let dcs = laliga::constraints();
     let alg = laliga::algorithm1();
     let out = Explainer::new(&alg)
-        .explain_cells_masked(
+        .with_config(ExecConfig::new().with_seed(12))
+        .explain(
             &dcs,
             &dirty,
-            laliga::cell_of_interest(&dirty),
-            MaskMode::Null,
-            SamplingConfig {
-                samples: 800,
-                seed: 12,
+            &ExplainRequest {
+                cell: laliga::cell_of_interest(&dirty),
+                players: Players::MaskedCells {
+                    mode: MaskMode::Null,
+                    walks: 800,
+                },
             },
         )
         .unwrap();
@@ -127,14 +142,16 @@ fn e4_cell_ranking_distinct_mask() {
     let dcs = laliga::constraints();
     let alg = laliga::algorithm1();
     let out = Explainer::new(&alg)
-        .explain_cells_masked(
+        .with_config(ExecConfig::new().with_seed(5))
+        .explain(
             &dcs,
             &dirty,
-            laliga::cell_of_interest(&dirty),
-            MaskMode::Distinct,
-            SamplingConfig {
-                samples: 600,
-                seed: 5,
+            &ExplainRequest {
+                cell: laliga::cell_of_interest(&dirty),
+                players: Players::MaskedCells {
+                    mode: MaskMode::Distinct,
+                    walks: 600,
+                },
             },
         )
         .unwrap();
@@ -150,13 +167,13 @@ fn e4_cell_ranking_replacement_sampler() {
     let dcs = laliga::constraints();
     let alg = laliga::algorithm1();
     let out = Explainer::new(&alg)
-        .explain_cells_sampled(
+        .with_config(ExecConfig::new().with_seed(4))
+        .explain(
             &dcs,
             &dirty,
-            laliga::cell_of_interest(&dirty),
-            SamplingConfig {
-                samples: 600,
-                seed: 4,
+            &ExplainRequest {
+                cell: laliga::cell_of_interest(&dirty),
+                players: Players::ReplacedCells { samples: 600 },
             },
         )
         .unwrap();
@@ -165,13 +182,13 @@ fn e4_cell_ranking_replacement_sampler() {
     assert!(top.value > 0.0);
     // The sampler is seeded: the run is reproducible.
     let again = Explainer::new(&alg)
-        .explain_cells_sampled(
+        .with_config(ExecConfig::new().with_seed(4))
+        .explain(
             &dcs,
             &dirty,
-            laliga::cell_of_interest(&dirty),
-            SamplingConfig {
-                samples: 600,
-                seed: 4,
+            &ExplainRequest {
+                cell: laliga::cell_of_interest(&dirty),
+                players: Players::ReplacedCells { samples: 600 },
             },
         )
         .unwrap();

@@ -18,7 +18,10 @@
 //! 1/2/4/8 on a machine with real cores; the variable adds that count to
 //! every thread sweep below.
 
-use trex::{AdaptiveConfig, CellGameMasked, CellGameSampled, ExecConfig, Explainer, MaskMode};
+use trex::{
+    AdaptiveConfig, CellGameMasked, CellGameSampled, ExecConfig, ExplainRequest, Explainer,
+    MaskMode, Players,
+};
 use trex_datagen::laliga;
 use trex_shapley::{
     parallel, sampling, AnytimeControl, Estimate, Game, ParallelConfig, SamplingConfig, Schedule,
@@ -285,12 +288,14 @@ fn work_stealing_is_serial_identical_on_the_laliga_cell_game() {
     let dcs = laliga::constraints();
     let alg = laliga::algorithm1();
     let cell = laliga::cell_of_interest(&dirty);
-    let config = AdaptiveConfig {
-        tolerance: 0.15,
-        batch: 15,
-        max_samples: 120,
-        seed: 9,
-        ..AdaptiveConfig::default()
+    let req = ExplainRequest {
+        cell,
+        players: Players::AdaptiveCells(AdaptiveConfig {
+            tolerance: 0.15,
+            batch: 15,
+            max_samples: 120,
+            ..AdaptiveConfig::default()
+        }),
     };
     let serial: Vec<f64> = serial_adaptive(&sampled_game(&alg, &dcs, &dirty), 0.15, 15, 120, 9)
         .iter()
@@ -299,10 +304,11 @@ fn work_stealing_is_serial_identical_on_the_laliga_cell_game() {
     for threads in thread_counts(&SWEEP) {
         let exec = ExecConfig::new()
             .with_threads(threads)
+            .with_seed(9)
             .with_schedule(Schedule::WorkStealing);
-        let (got, _) = Explainer::new(&alg)
+        let got = Explainer::new(&alg)
             .with_config(exec)
-            .explain_cells_adaptive(&dcs, &dirty, cell, config)
+            .explain(&dcs, &dirty, &req)
             .unwrap();
         assert_eq!(serial, got.values, "threads = {threads}");
     }
@@ -317,45 +323,33 @@ fn explanations_are_identical_at_every_core_count() {
     let dcs = laliga::constraints();
     let alg = laliga::algorithm1();
     let cell = laliga::cell_of_interest(&dirty);
-    let masked = SamplingConfig {
-        samples: 200,
-        seed: 0,
-    };
-    let sampled = SamplingConfig {
-        samples: 20,
-        seed: 0,
-    };
-    let adaptive = AdaptiveConfig {
+    let ask = |players| ExplainRequest { cell, players };
+    let masked = ask(Players::MaskedCells {
+        mode: MaskMode::Null,
+        walks: 200,
+    });
+    let sampled = ask(Players::ReplacedCells { samples: 20 });
+    let adaptive = ask(Players::AdaptiveCells(AdaptiveConfig {
         tolerance: 0.15,
         batch: 15,
         max_samples: 60,
         ..AdaptiveConfig::default()
-    };
+    }));
     let explain = |threads: usize| {
         let ex = Explainer::new(&alg).with_config(ExecConfig::new().with_threads(threads));
-        let masked_values = ex
-            .explain_cells_masked(&dcs, &dirty, cell, MaskMode::Null, masked)
-            .unwrap()
-            .values;
-        let (anytime, finished) = ex
-            .explain_cells_masked_anytime(&dcs, &dirty, cell, MaskMode::Null, masked, 64, |_| {
-                AnytimeControl::Continue
-            })
+        let masked_values = ex.explain(&dcs, &dirty, &masked).unwrap().values;
+        let anytime = ex
+            .explain_anytime(&dcs, &dirty, &masked, 64, |_| AnytimeControl::Continue)
             .unwrap();
-        assert!(finished);
-        let sampled_values = ex
-            .explain_cells_sampled(&dcs, &dirty, cell, sampled)
-            .unwrap()
-            .values;
-        let (adaptive_out, converged) = ex
-            .explain_cells_adaptive(&dcs, &dirty, cell, adaptive)
-            .unwrap();
+        assert!(anytime.finished);
+        let sampled_values = ex.explain(&dcs, &dirty, &sampled).unwrap().values;
+        let adaptive_out = ex.explain(&dcs, &dirty, &adaptive).unwrap();
         (
             masked_values,
             anytime.values,
             sampled_values,
             adaptive_out.values,
-            converged,
+            adaptive_out.converged,
         )
     };
     let one = explain(1);

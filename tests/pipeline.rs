@@ -2,13 +2,12 @@
 //! repair → explanation → rendered report, plus workload-scale smoke tests
 //! and degenerate-input behaviour.
 
-use trex::{Explainer, Session};
+use trex::{ExecConfig, ExplainRequest, Explainer, Players, Session};
 use trex_constraints::{parse_dcs, DenialConstraint};
 use trex_datagen::{errors, laliga, soccer};
 use trex_repair::{
     score_repair, FdChaseRepair, HolisticRepair, HoloCleanStyle, NoOpRepair, RepairAlgorithm,
 };
-use trex_shapley::SamplingConfig;
 use trex_table::{read_csv, write_csv, CellRef, DType, Value};
 
 /// A user-shaped flow: table arrives as CSV text, constraints as text.
@@ -30,7 +29,14 @@ Barcelona,Barcelona,Spain
     assert_eq!(cell, CellRef::new(2, dirty.schema().id("Country")));
 
     let out = Explainer::new(&alg)
-        .explain_constraints(&dcs, &dirty, cell)
+        .explain(
+            &dcs,
+            &dirty,
+            &ExplainRequest {
+                cell,
+                players: Players::Constraints,
+            },
+        )
         .unwrap();
     assert_eq!(out.ranking.get("C2").unwrap().value, 1.0);
 
@@ -71,7 +77,14 @@ fn generated_workload_end_to_end() {
 
     let cell = injected.truth[0].cell;
     let cons = Explainer::new(&alg)
-        .explain_constraints(&dcs, &injected.dirty, cell)
+        .explain(
+            &dcs,
+            &injected.dirty,
+            &ExplainRequest {
+                cell,
+                players: Players::Constraints,
+            },
+        )
         .unwrap();
     // Country repairs flow through C2/C3; C4 is always a dummy here.
     assert_eq!(cons.ranking.get("C4").unwrap().value, 0.0);
@@ -131,16 +144,26 @@ fn degenerate_inputs_are_handled() {
     let result = alg.repair(&dcs, &dirty);
     assert!(result.changes.is_empty());
     let err = Explainer::new(&alg)
-        .explain_constraints(&dcs, &dirty, laliga::cell_of_interest(&dirty))
+        .explain(
+            &dcs,
+            &dirty,
+            &ExplainRequest {
+                cell: laliga::cell_of_interest(&dirty),
+                players: Players::Constraints,
+            },
+        )
         .unwrap_err();
     assert!(matches!(err, trex::ExplainError::CellNotRepaired { .. }));
 
     // No-op engine: same.
     let err = Explainer::new(&NoOpRepair)
-        .explain_constraints(
+        .explain(
             &laliga::constraints(),
             &dirty,
-            laliga::cell_of_interest(&dirty),
+            &ExplainRequest {
+                cell: laliga::cell_of_interest(&dirty),
+                players: Players::Constraints,
+            },
         )
         .unwrap_err();
     assert!(matches!(err, trex::ExplainError::CellNotRepaired { .. }));
@@ -174,10 +197,14 @@ fn sampling_seeds_behave() {
     let dirty = laliga::dirty_table();
     let dcs = laliga::constraints();
     let alg = laliga::algorithm1();
-    let ex = Explainer::new(&alg);
-    let cell = laliga::cell_of_interest(&dirty);
+    let req = ExplainRequest {
+        cell: laliga::cell_of_interest(&dirty),
+        players: Players::ReplacedCells { samples: 60 },
+    };
     let run = |seed: u64| {
-        ex.explain_cells_sampled(&dcs, &dirty, cell, SamplingConfig { samples: 60, seed })
+        Explainer::new(&alg)
+            .with_config(ExecConfig::new().with_seed(seed))
+            .explain(&dcs, &dirty, &req)
             .unwrap()
             .values
     };

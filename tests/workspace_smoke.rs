@@ -7,7 +7,7 @@
 use trex_repro::constraints::parse_dcs;
 use trex_repro::repair::{FixAction, RepairAlgorithm, Rule, RuleRepair};
 use trex_repro::table::{read_csv_strings, write_csv, CellRef, Value};
-use trex_repro::trex::Explainer;
+use trex_repro::trex::{ExplainRequest, Explainer, Players};
 
 /// Every facade module resolves and exposes its headline items. Each
 /// statement names the re-export it guards, so a dropped dependency or a
@@ -62,7 +62,14 @@ Real Madrid,Madrid
 
     let cell = CellRef::new(1, city);
     let out = Explainer::new(&alg)
-        .explain_constraints(&dcs, &table, cell)
+        .explain(
+            &dcs,
+            &table,
+            &ExplainRequest {
+                cell,
+                players: Players::Constraints,
+            },
+        )
         .expect("facade explainer runs on the smoke scenario");
     assert_eq!(
         out.ranking.top().map(|e| e.label.as_str()),
